@@ -9,7 +9,10 @@
 #   4. cluster docs     — `cargo doc -p cluster` stays warning-free
 #                         (the layered-engine seams are documented API)
 #   5. tests            — every suite, including the same-seed
-#                         byte-identical-images regression test
+#                         byte-identical-images regression test, then
+#                         the perfbench package's own suite (it builds
+#                         against the crates' public API, so an API
+#                         change that breaks the benchmark fails here)
 #   6. bench smoke      — `--quick` runs of the store-ablation,
 #                         Fig 5(a), COW-downtime and recovery binaries
 #                         (their asserts are the check)
@@ -65,6 +68,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q -p cluster
 
 echo "== cargo test"
 cargo test --offline --workspace -q
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "== bench smoke (--quick)"
 cargo run --offline -q --release -p bench --bin store_dedup -- --quick

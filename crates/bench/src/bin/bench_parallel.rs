@@ -3,8 +3,7 @@
 //! at 1/2/4/8 worker threads, with byte-identity asserted at every width
 //! before any number is reported.
 //!
-//! `threads == 1` is the verbatim pre-pool serial loop — the reference
-//! oracle. For every other width the run asserts the manifest, the
+//! `threads == 1` is the pool's serial path — the reference oracle. For every other width the run asserts the manifest, the
 //! persisted store files, and the reconstructed image equal the serial
 //! run's byte for byte; a determinism bug fails the bench no matter how
 //! fast it went.

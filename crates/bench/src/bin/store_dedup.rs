@@ -1,6 +1,6 @@
 //! The dedup-store ablation table: bytes written per checkpoint epoch,
 //! checkpoint latency and restart cost of the slm ring under the plain,
-//! dedup and dedup+compress store representations.
+//! dedup and dedup+compress disk-charge models of the chunk store.
 //!
 //! `--quick` runs a reduced sweep (smaller state, fewer epochs) as a CI
 //! smoke test.

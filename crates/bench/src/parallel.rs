@@ -7,8 +7,8 @@
 //! The contract the bench enforces on every run — before any throughput
 //! number is reported — is **byte-identity**: the manifests, the persisted
 //! store files, and the reconstructed images must be equal at every thread
-//! count, with `threads == 1` (the verbatim pre-pool serial loop) as the
-//! reference oracle.
+//! count, with `threads == 1` (the pool's serial path) as the reference
+//! oracle.
 
 use cruz::store::{CheckpointStore, PreparedChunked, PreparedPut, StoreConfig};
 use des::digest;

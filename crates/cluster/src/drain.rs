@@ -8,13 +8,12 @@
 //! pre-image copy cost the [`crate::ops::OpReport`] records as
 //! `cow_copied_bytes`.
 
-use des::SimTime;
-
 use cruz::error::CruzError;
 use cruz::store::PreparedPut;
 use zap::ArmedPodCheckpoint;
 
 use crate::fault::ProtocolPoint;
+use crate::ops_agent::{prepare_image, ImageIo};
 use crate::runtime::{Deadline, Timers};
 use crate::state::World;
 
@@ -23,7 +22,7 @@ impl World {
     /// snapshots and serializing the image skeletons (registers, sockets,
     /// pipes, shm) — O(non-memory state) instead of O(image bytes). Pages
     /// drain in the background at the [`Deadline::CkptDrain`] firing.
-    pub(crate) fn begin_local_checkpoint_cow(&mut self, node: usize, op: u64, base: Option<u64>) {
+    pub(crate) fn begin_local_checkpoint_cow(&mut self, node: usize, op: u64) {
         let pods = self.job_pods_on_node(op, node);
         let mut armed: Vec<(String, ArmedPodCheckpoint)> = Vec::new();
         let mut arm_bytes: u64 = 0;
@@ -33,7 +32,7 @@ impl World {
             let slot = &mut self.nodes[node];
             match slot
                 .zap
-                .checkpoint_pod_arm(&mut slot.kernel, pod_id, self.now, base)
+                .checkpoint_pod_arm(&mut slot.kernel, pod_id, self.now)
             {
                 Ok(a) => {
                     arm_bytes += a.arm_bytes();
@@ -103,58 +102,31 @@ impl World {
             }
             return;
         }
-        let dedup = self.params.store.dedup;
         let store = self.store(&job);
         let mut cache = self.digest_caches.remove(&job).unwrap_or_default();
         let mut images: Vec<(String, PreparedPut)> = Vec::new();
-        let mut batch: Vec<(SimTime, u64)> = Vec::new();
-        let mut total: u64 = 0;
         let mut copied: u64 = 0;
         for (pod_name, a) in armed {
             let (img, pre_copied, dirty) = a.drain_with_dirty();
             copied += pre_copied;
-            if dedup {
-                let (bytes, cuts) = img.encode_with_page_cuts();
-                let hints = cruz::pagecache::page_hints(&img, &cuts, &dirty);
-                // Hash/encode fans out across the store's worker pool
-                // (`params.store.threads`); clean pages skip it via the
-                // digest cache. Byte-identical at every width.
-                let prepared = store.prepare_chunked_hinted(
-                    &bytes,
-                    &hints,
-                    &self.params.store,
-                    &pod_name,
-                    &mut cache,
-                );
-                let pod_base = total;
-                for (raw_end, stored) in prepared.novel_writes() {
-                    let ready = t_arm + self.params.extract_time(pod_base + raw_end);
-                    batch.push((ready, stored));
-                }
-                total += bytes.len() as u64;
-                batch.push((
-                    t_arm + self.params.extract_time(total),
-                    prepared.manifest_len(),
-                ));
-                images.push((pod_name, PreparedPut::Chunked(prepared)));
-            } else {
-                let bytes = img.encode();
-                total += bytes.len() as u64;
-                images.push((pod_name, PreparedPut::Plain(bytes)));
-            }
+            let put = prepare_image(
+                &store,
+                &self.params.store,
+                &pod_name,
+                &img,
+                &dirty,
+                &mut cache,
+            );
+            images.push((pod_name, put));
         }
         self.digest_caches.insert(job, cache);
-        let durable_at = if dedup {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write_batch(t_arm, &batch)
-        } else {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write(t_arm + self.params.extract_time(total), total)
-        };
+        let durable_at = self.submit_image_io(
+            node,
+            ImageIo::Write {
+                start: t_arm,
+                images: &images,
+            },
+        );
         if let Some(fault) = self.nodes[node].kernel.disk.take_write_fault() {
             self.apply_ckpt_disk_fault(op, fault, images);
             return;

@@ -205,6 +205,11 @@ impl FaultPlan {
         let u64_at = |at: &mut usize| -> Option<u64> {
             Some(u64::from_le_bytes(take(at, 8)?.try_into().ok()?))
         };
+        // Counts are untrusted: reserve no more records than the remaining
+        // bytes can hold at `rec_len` bytes each.
+        let capacity = |at: usize, count: u32, rec_len: usize| -> usize {
+            (count as usize).min((bytes.len() - at) / rec_len)
+        };
         if take(&mut at, 4)? != MAGIC {
             return None;
         }
@@ -216,7 +221,7 @@ impl FaultPlan {
         }
         let seed = u64_at(&mut at)?;
         let ncrash = u32_at(&mut at)?;
-        let mut crashes = Vec::with_capacity(ncrash as usize);
+        let mut crashes = Vec::with_capacity(capacity(at, ncrash, 9));
         for _ in 0..ncrash {
             let node = u32_at(&mut at)? as usize;
             let point = ProtocolPoint::from_tag(take(&mut at, 1)?[0])?;
@@ -224,7 +229,7 @@ impl FaultPlan {
             crashes.push(CrashFault { node, point, nth });
         }
         let ndisk = u32_at(&mut at)?;
-        let mut disk = Vec::with_capacity(ndisk as usize);
+        let mut disk = Vec::with_capacity(capacity(at, ndisk, 14));
         for _ in 0..ndisk {
             let node = u32_at(&mut at)? as usize;
             let nth_write = u64_at(&mut at)?;
@@ -320,6 +325,23 @@ mod tests {
         ok.pop();
         ok.pop();
         assert!(FaultPlan::decode(&ok).is_none(), "truncated");
+    }
+
+    #[test]
+    fn hostile_record_counts_do_not_allocate() {
+        // Pinned input: the encoded `FaultPlan::none(1)` with its crash
+        // count mutated to u32::MAX (4 bytes). Reserving that many records
+        // up front asked for ~64 GiB and aborted the process.
+        let mut bytes = b"CRZF".to_vec();
+        bytes.extend_from_slice(&[0x02, 0x00]);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[0xff; 4]);
+        bytes.extend_from_slice(&[0; 40]);
+        assert!(FaultPlan::decode(&bytes).is_none());
+        // The same mutation of the disk-fault count.
+        let mut disk = FaultPlan::none(1).encode();
+        disk[18..22].copy_from_slice(&[0xff; 4]);
+        assert!(FaultPlan::decode(&disk).is_none());
     }
 
     #[test]

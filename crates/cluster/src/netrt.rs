@@ -7,8 +7,9 @@
 //! the way the paper's testbed did: each node is an OS thread owning its
 //! own kernel + Zap instance, control frames are real UDP datagrams on
 //! `127.0.0.1`, failure detection is heartbeat pings against the wall
-//! clock, and checkpoint images flow to a store-service thread over
-//! channels. The pure state machines ([`cruz::coordinator::Coordinator`],
+//! clock, and checkpoint images flow over channels to a store-service
+//! thread, which puts them into the same chunk store the simulator uses.
+//! The pure state machines ([`cruz::coordinator::Coordinator`],
 //! [`cruz::agent::Agent`]) are shared with the simulator verbatim — only
 //! the carrier differs, which is the whole point of the seam.
 //!
@@ -47,7 +48,7 @@ use cruz::coordinator::{CoordEffect, Coordinator};
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind, ProtocolMode, AGENT_PORT, COORD_PORT};
 use cruz::replog::ReplicatedStore;
-use cruz::store::PreparedPut;
+use cruz::store::{PreparedPut, StoreConfig};
 
 use crate::jobs::{JobSpec, PodSpec};
 use crate::node::node_ip;
@@ -213,6 +214,9 @@ enum StoreReq {
         pod: String,
         epoch: u64,
         bytes: Vec<u8>,
+        /// Page-payload cuts of `bytes` (see
+        /// `PodImage::encode_with_page_cuts`).
+        cuts: Vec<(usize, usize)>,
     },
     Commit {
         epoch: u64,
@@ -246,14 +250,20 @@ fn reply_to<T>(tx: &mpsc::Sender<T>, v: T) {
 /// shared filesystem and the checkpoint store, serving every node thread
 /// and the coordinator over a channel — the net runtime's stand-in for
 /// the NFS server of the paper's testbed.
-fn store_service(job: String, threads: usize, rx: &mpsc::Receiver<StoreReq>) -> u64 {
+fn store_service(job: String, cfg: StoreConfig, rx: &mpsc::Receiver<StoreReq>) -> u64 {
     let fs = NetFs::new();
-    let store = ReplicatedStore::new(fs, &job, 1).with_threads(threads);
+    let store = ReplicatedStore::new(fs, &job, 1).with_threads(cfg.threads);
     let mut puts = 0u64;
     while let Ok(req) = rx.recv() {
         match req {
-            StoreReq::Put { pod, epoch, bytes } => {
-                store.put_prepared(&pod, epoch, PreparedPut::Plain(bytes));
+            StoreReq::Put {
+                pod,
+                epoch,
+                bytes,
+                cuts,
+            } => {
+                let prepared = store.prepare_chunked(&bytes, &cuts, &cfg);
+                store.put_prepared(&pod, epoch, PreparedPut::Chunked(prepared));
                 puts += 1;
             }
             StoreReq::Commit { epoch } => store.commit(epoch),
@@ -361,12 +371,14 @@ impl NodeHost {
                     for (name, pid) in self.pods.clone() {
                         match self.zap.checkpoint_pod(&mut self.kernel, pid, self.vnow) {
                             Ok(img) => {
+                                let (bytes, cuts) = img.encode_with_page_cuts();
                                 if self
                                     .store
                                     .send(StoreReq::Put {
                                         pod: name,
                                         epoch,
-                                        bytes: img.encode(),
+                                        bytes,
+                                        cuts,
                                     })
                                     .is_err()
                                 {
@@ -727,10 +739,10 @@ impl NetRuntime {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (store_tx, store_rx) = mpsc::channel();
         let job = spec.name.clone();
-        let threads = self.params.store.threads;
+        let cfg = self.params.store.clone();
         let store_handle = thread::Builder::new()
             .name("netrt-store".into())
-            .spawn(move || store_service(job, threads, &store_rx))
+            .spawn(move || store_service(job, cfg, &store_rx))
             .map_err(|_| stuck("could not spawn the store-service thread"))?;
         let mut cluster = NetCluster {
             clock: NetClock::start(),

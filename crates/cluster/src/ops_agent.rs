@@ -9,13 +9,17 @@
 //! in [`crate::drain`]. Like the coordinator half, every future action is
 //! registered through the [`crate::runtime::Timers`] seam.
 
+use std::collections::BTreeSet;
+
 use simos::disk::WriteFault;
 use zap::image::PodImage;
 
 use cruz::agent::AgentAction;
 use cruz::error::CruzError;
+use cruz::pagecache::{page_hints, DigestCache};
 use cruz::proto::{CtlMsg, OpKind};
-use cruz::store::PreparedPut;
+use cruz::replog::ReplicatedStore;
+use cruz::store::{PreparedPut, StoreConfig};
 
 use des::SimTime;
 
@@ -82,10 +86,7 @@ impl World {
                 o.pending_ckpt.remove(&node).unwrap_or_default(),
             )
         };
-        let store = self.store(&job);
-        for (pod_name, put) in images {
-            store.put_prepared(&pod_name, image_epoch, put);
-        }
+        self.land_images(&job, image_epoch, images);
         let actions = self.nodes[node].agent.on_local_durable(self.now);
         self.run_agent_actions(node, op, actions);
         self.postprocess(node);
@@ -128,10 +129,7 @@ impl World {
                     // and dangling refs the store can never commit.
                     return;
                 }
-                let store = self.store(&job);
-                for (pod_name, put) in images {
-                    store.put_prepared(&pod_name, image_epoch, put);
-                }
+                self.land_images(&job, image_epoch, images);
             }
             OpKind::Checkpoint => {} // COW: images persist at AgentDurable
             OpKind::Restart => {
@@ -143,14 +141,7 @@ impl World {
                 }) else {
                     return;
                 };
-                for (pod_name, bytes) in images {
-                    let image = match PodImage::decode(&bytes) {
-                        Ok(img) => img,
-                        Err(e) => {
-                            self.fail_op(op, CruzError::BadImage(e));
-                            return;
-                        }
-                    };
+                for (pod_name, image) in images {
                     let slot = &mut self.nodes[node];
                     let pod_id = match slot.zap.restart_pod(&mut slot.kernel, &image, self.now) {
                         Ok(id) => id,
@@ -171,6 +162,19 @@ impl World {
         let actions = self.nodes[node].agent.on_local_done(self.now);
         self.run_agent_actions(node, op, actions);
         self.postprocess(node);
+    }
+
+    /// Lands one node's prepared images in the job's store. The store then
+    /// holds every chunk they made novel, so the job's page-digest cache
+    /// drops the containers it kept for them.
+    fn land_images(&mut self, job: &str, epoch: u64, images: Vec<(String, PreparedPut)>) {
+        let store = self.store(job);
+        for (pod_name, put) in images {
+            store.put_prepared(&pod_name, epoch, put);
+        }
+        if let Some(cache) = self.digest_caches.get_mut(job) {
+            cache.release_stored();
+        }
     }
 
     pub(crate) fn run_agent_actions(&mut self, node: usize, op: u64, actions: Vec<AgentAction>) {
@@ -209,99 +213,54 @@ impl World {
     }
 
     fn begin_local_checkpoint(&mut self, node: usize, op: u64) {
-        let Some((cow, capture, base, job)) = self
-            .ops
-            .get(&op)
-            .map(|o| (o.cow, o.capture, o.incremental_base, o.job.clone()))
+        let Some((cow, capture, job)) =
+            self.ops.get(&op).map(|o| (o.cow, o.capture, o.job.clone()))
         else {
             return;
         };
         if capture == CkptCaptureMode::Cow {
-            self.begin_local_checkpoint_cow(node, op, base);
+            self.begin_local_checkpoint_cow(node, op);
             return;
         }
         let pods = self.job_pods_on_node(op, node);
-        let dedup = self.params.store.dedup;
         let store = self.store(&job);
         // The job's page-digest cache rides outside `self` for the loop; a
         // capture failure drops it, which doubles as invalidation.
         let mut cache = self.digest_caches.remove(&job).unwrap_or_default();
         let mut images: Vec<(String, PreparedPut)> = Vec::new();
-        // Pipelined write-out schedule for the dedup path: each novel chunk
-        // becomes available when capture has serialized up to it, and the
-        // manifest when the pod's image is complete.
-        let mut batch: Vec<(SimTime, u64)> = Vec::new();
-        let mut total: u64 = 0;
         for p in &pods {
             let Some(pod_id) = p.pod_id else { continue };
             let slot = &mut self.nodes[node];
-            let extracted = match base {
-                Some(b) => slot
+            let (img, dirty) =
+                match slot
                     .zap
-                    .checkpoint_pod_incremental(&mut slot.kernel, pod_id, self.now, b)
-                    .map(|img| (img, Vec::new())),
-                None if dedup => slot
-                    .zap
-                    .checkpoint_pod_dirty(&mut slot.kernel, pod_id, self.now),
-                None => slot
-                    .zap
-                    .checkpoint_pod(&mut slot.kernel, pod_id, self.now)
-                    .map(|img| (img, Vec::new())),
-            };
-            let (img, dirty) = match extracted {
-                Ok(v) => v,
-                Err(e) => {
-                    self.fail_op(op, CruzError::Zap(e));
-                    return;
-                }
-            };
-            if dedup {
-                let (bytes, cuts) = img.encode_with_page_cuts();
-                let hints = cruz::pagecache::page_hints(&img, &cuts, &dirty);
-                // Same pool as the COW drain: hash/encode shards across
-                // `params.store.threads` workers, clean pages skip it.
-                let prepared = store.prepare_chunked_hinted(
-                    &bytes,
-                    &hints,
-                    &self.params.store,
-                    &p.name,
-                    &mut cache,
-                );
-                let pod_base = total;
-                for (raw_end, stored) in prepared.novel_writes() {
-                    let ready = self.now + self.params.extract_time(pod_base + raw_end);
-                    batch.push((ready, stored));
-                }
-                total += bytes.len() as u64;
-                batch.push((
-                    self.now + self.params.extract_time(total),
-                    prepared.manifest_len(),
-                ));
-                images.push((p.name.clone(), PreparedPut::Chunked(prepared)));
-            } else {
-                let bytes = img.encode();
-                total += bytes.len() as u64;
-                images.push((p.name.clone(), PreparedPut::Plain(bytes)));
-            }
+                    .checkpoint_pod_dirty(&mut slot.kernel, pod_id, self.now)
+                {
+                    Ok(v) => v,
+                    Err(e) => {
+                        self.fail_op(op, CruzError::Zap(e));
+                        return;
+                    }
+                };
+            let put = prepare_image(
+                &store,
+                &self.params.store,
+                &p.name,
+                &img,
+                &dirty,
+                &mut cache,
+            );
+            images.push((p.name.clone(), put));
         }
         self.digest_caches.insert(job, cache);
-        let t_extract = self.params.extract_time(total);
-        let captured_at = self.now + t_extract;
-        // Plain: one write of the whole image, starting once capture ends.
-        // Dedup: one batched operation (single seek) streaming novel chunks
-        // as capture produces them; the trailing manifest is ready at
-        // capture end, so the batch never completes before `captured_at`.
-        let durable_at = if dedup {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write_batch(self.now, &batch)
-        } else {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write(captured_at, total)
-        };
+        let captured_at = self.now + self.params.extract_time(raw_total(&images));
+        let durable_at = self.submit_image_io(
+            node,
+            ImageIo::Write {
+                start: self.now,
+                images: &images,
+            },
+        );
         if let Some(fault) = self.nodes[node].kernel.disk.take_write_fault() {
             self.apply_ckpt_disk_fault(op, fault, images);
             return;
@@ -324,6 +283,49 @@ impl World {
         }
     }
 
+    /// Submits image-store traffic to `node`'s simulated disk and returns
+    /// when it completes. This is the one place `StoreConfig::dedup` is
+    /// read: every image is stored as a chunk manifest, and the flag only
+    /// picks what the disk is charged.
+    ///
+    /// * Off (the paper's testbed): a checkpoint writes each full image in
+    ///   one write once capture ends; a restore reads each full image.
+    /// * On: a checkpoint streams only the novel chunks as capture
+    ///   serializes up to them, plus each manifest once its image is
+    ///   complete, as one batched operation (single seek) that never
+    ///   completes before capture ends; a restore reads each manifest plus
+    ///   every distinct chunk it references.
+    pub(crate) fn submit_image_io(&mut self, node: usize, io: ImageIo<'_>) -> SimTime {
+        let dedup = self.params.store.dedup;
+        let params = &self.params;
+        let disk = &mut self.nodes[node].kernel.disk;
+        match io {
+            ImageIo::Read { start, lens } => {
+                let total = lens
+                    .iter()
+                    .map(|&(raw, stored)| if dedup { stored } else { raw })
+                    .sum();
+                disk.submit_read(start, total)
+            }
+            ImageIo::Write { start, images } if dedup => {
+                let mut batch: Vec<(SimTime, u64)> = Vec::new();
+                let mut total = 0;
+                for (_, PreparedPut::Chunked(c)) in images {
+                    for (raw_end, stored) in c.novel_writes() {
+                        batch.push((start + params.extract_time(total + raw_end), stored));
+                    }
+                    total += c.raw_len();
+                    batch.push((start + params.extract_time(total), c.manifest_len()));
+                }
+                disk.submit_write_batch(start, &batch)
+            }
+            ImageIo::Write { start, images } => {
+                let total = raw_total(images);
+                disk.submit_write(start + params.extract_time(total), total)
+            }
+        }
+    }
+
     /// An injected disk fault struck a checkpoint write: the write syscall
     /// reports the failure, durability is never claimed, and the operation
     /// force-aborts. A torn write additionally leaves a partial prefix of
@@ -338,8 +340,8 @@ impl World {
         if let WriteFault::Torn(frac) = fault {
             if let Some(o) = self.ops.get(&op) {
                 let store = self.store(&o.job.clone());
-                for (pod_name, put) in &images {
-                    store.put_torn(pod_name, o.image_epoch, put, frac);
+                for (_, put) in &images {
+                    store.put_torn(put, frac);
                 }
             }
         }
@@ -352,62 +354,32 @@ impl World {
             None => return,
         };
         let store = self.store(&job);
-        let pods = self.job_pods_on_node(op, node);
         let mut images = Vec::new();
-        let mut total: u64 = 0;
-        for p in &pods {
-            // Walk the incremental chain down to the full base image; the
-            // restore reads (and pays for) every link.
-            let mut chain: Vec<Vec<u8>> = Vec::new();
-            let mut epoch = Some(image_epoch);
-            while let Some(e) = epoch {
-                let Some(bytes) = store.get_image(&p.name, e) else {
-                    break;
-                };
-                // Charge what the disk actually serves: the plain file, or
-                // the manifest plus every distinct chunk it references.
-                total += store.stored_len(&p.name, e).unwrap_or(bytes.len() as u64);
-                let base = match PodImage::decode(&bytes) {
-                    Ok(img) => img.base_epoch,
-                    Err(e) => {
-                        self.fail_op(op, CruzError::BadImage(e));
-                        return;
-                    }
-                };
-                chain.push(bytes);
-                epoch = base;
-            }
-            if chain.is_empty() {
+        let mut lens = Vec::new();
+        for p in self.job_pods_on_node(op, node) {
+            let Some(bytes) = store.get_image(&p.name, image_epoch) else {
                 continue;
-            }
-            // Fold base-first. The chain is non-empty, so the fold seed is
-            // the bottom (full) image.
-            let merged = chain
-                .pop()
-                .ok_or(CruzError::Protocol("image chain emptied mid-fold"))
-                .and_then(|base_bytes| PodImage::decode(&base_bytes).map_err(CruzError::from))
-                .and_then(|mut merged| {
-                    if merged.base_epoch.is_some() {
-                        return Err(CruzError::Protocol(
-                            "image chain does not bottom out at a full image",
-                        ));
-                    }
-                    while let Some(delta_bytes) = chain.pop() {
-                        let delta = PodImage::decode(&delta_bytes)?;
-                        merged = merged.apply_delta(&delta)?;
-                    }
-                    Ok(merged)
-                });
-            let merged = match merged {
-                Ok(m) => m,
+            };
+            // Decode now, so a bad image fails the op at the instant the
+            // read is issued; the decoded image waits for the disk.
+            let image = match PodImage::decode(&bytes) {
+                Ok(img) => img,
                 Err(e) => {
-                    self.fail_op(op, e);
+                    self.fail_op(op, CruzError::BadImage(e));
                     return;
                 }
             };
-            images.push((p.name.clone(), merged.encode()));
+            let len = bytes.len() as u64;
+            lens.push((len, store.stored_len(&p.name, image_epoch).unwrap_or(len)));
+            images.push((p.name, image));
         }
-        let done_at = self.nodes[node].kernel.disk.submit_read(self.now, total);
+        let done_at = self.submit_image_io(
+            node,
+            ImageIo::Read {
+                start: self.now,
+                lens: &lens,
+            },
+        );
         if let Some(o) = self.ops.get_mut(&op) {
             o.pending_restore.insert(node, images);
             o.local_ops.insert(node, (self.now, done_at));
@@ -487,4 +459,46 @@ impl World {
             );
         }
     }
+}
+
+/// Image-store traffic for [`World::submit_image_io`] to charge.
+pub(crate) enum ImageIo<'a> {
+    /// One node's checkpoint write-out of `images`, whose capture began
+    /// at `start`.
+    Write {
+        start: SimTime,
+        images: &'a [(String, PreparedPut)],
+    },
+    /// A restore read starting at `start`: per pod image, its length and
+    /// the bytes the store holds for it (`CheckpointStore::stored_len`).
+    Read {
+        start: SimTime,
+        lens: &'a [(u64, u64)],
+    },
+}
+
+/// Total serialized length of `images`.
+fn raw_total(images: &[(String, PreparedPut)]) -> u64 {
+    images
+        .iter()
+        .map(|(_, PreparedPut::Chunked(c))| c.raw_len())
+        .sum()
+}
+
+/// Serializes a captured image and prepares its store write — the one
+/// capture path every checkpoint takes, stop-the-world and COW drain
+/// alike. Clean pages reuse the job's page-digest cache; the rest
+/// hash/encode across `cfg.threads` workers. Byte-identical at every
+/// width.
+pub(crate) fn prepare_image(
+    store: &ReplicatedStore,
+    cfg: &StoreConfig,
+    pod_name: &str,
+    img: &PodImage,
+    dirty: &[BTreeSet<u64>],
+    cache: &mut DigestCache,
+) -> PreparedPut {
+    let (bytes, cuts) = img.encode_with_page_cuts();
+    let hints = page_hints(img, &cuts, dirty);
+    PreparedPut::Chunked(store.prepare_chunked_hinted(&bytes, &hints, cfg, pod_name, cache))
 }

@@ -160,12 +160,12 @@ pub struct ClusterParams {
     /// Self-healing recovery manager (heartbeat failure detection and
     /// automatic restart from the last committed epoch).
     pub recovery: RecoveryParams,
-    /// Checkpoint-store representation: plain monolithic images (default,
-    /// the paper's testbed behavior) or the content-addressed
-    /// deduplicating store, with chunk size and per-chunk compression
-    /// selectable for ablation. When dedup is on, manifests are
-    /// full-fidelity, so it subsumes (and disables) incremental
-    /// delta-chain capture. `store.threads` sizes the capture/restore
+    /// Checkpoint-store knobs. Every image is stored as a full-fidelity
+    /// chunk manifest; `store.dedup` only picks the simulated disk charge:
+    /// the full image per checkpoint and restore (default, the paper's
+    /// testbed behavior) or only the novel chunks on capture and the
+    /// stored bytes on restore, with chunk size and per-chunk compression
+    /// selectable for ablation. `store.threads` sizes the capture/restore
     /// worker pool (`0` = auto via `CRUZ_THREADS`/host parallelism, `1` =
     /// serial reference path) — a wall-clock knob only: produced bytes and
     /// trace digests are identical at every width. `store.replicas` sets

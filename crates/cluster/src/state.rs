@@ -136,7 +136,7 @@ pub struct World {
     /// every discard on a protocol path to either land here or carry a
     /// reasoned `allow`.
     pub(crate) soft_faults: Vec<(SimTime, &'static str, ClusterError)>,
-    /// Per-job page-digest caches for the dedup capture path: clean pages
+    /// Per-job page-digest caches for the capture path: clean pages
     /// skip re-hash/re-encode against the pod's previous capture.
     /// Invalidated whenever pod memory changes outside a completed capture
     /// (restarts, migrations, aborted operations).

@@ -412,91 +412,6 @@ fn periodic_checkpoint_driver_runs_the_job_to_completion() {
 }
 
 #[test]
-fn incremental_epochs_restore_through_the_full_protocol() {
-    use cluster::world::CkptOptions;
-    let slm = SlmConfig {
-        ranks: 2,
-        state_bytes: 2 * 1024 * 1024,
-        iters: 100_000,
-        compute_ns: 2_000_000,
-        halo_bytes: 2048,
-        port: 7100,
-        state_step_bytes: 0,
-    };
-    // A snappy retransmission timer: the freeze drops in-flight halo frames,
-    // and the ranks must recover and resume computing *within* the drain
-    // window for the COW race to be exercised (with the default 200 ms
-    // min-RTO they would idle until long after the drain).
-    let tcp = simnet::tcp::TcpConfig {
-        initial_rto: SimDuration::from_millis(2),
-        min_rto: SimDuration::from_millis(1),
-        ..simnet::tcp::TcpConfig::default()
-    };
-    let mut w = World::new(
-        5,
-        ClusterParams {
-            tcp,
-            ..ClusterParams::default()
-        },
-    );
-    w.launch_job(&slm.job_spec("slm", 4)).unwrap();
-    w.run_for(SimDuration::from_millis(20));
-
-    // Full epoch, then two incremental epochs.
-    let full = w
-        .start_checkpoint_with("slm", CkptOptions::default())
-        .unwrap();
-    assert!(w.run_until_op(full, 20_000_000));
-    let mut incs = Vec::new();
-    for _ in 0..2 {
-        w.run_for(SimDuration::from_millis(5));
-        let inc = w
-            .start_checkpoint_with(
-                "slm",
-                CkptOptions {
-                    incremental: true,
-                    ..CkptOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(w.run_until_op(inc, 20_000_000));
-        incs.push(inc);
-    }
-    // The incremental images are dramatically smaller than the full one.
-    let store = w.store("slm");
-    let full_len = store.image_len("rank0", full).unwrap();
-    let inc_len = store.image_len("rank0", incs[1]).unwrap();
-    assert!(
-        inc_len * 5 < full_len,
-        "incremental {inc_len} B vs full {full_len} B"
-    );
-
-    // Crash and restart from the LAST incremental epoch: the runtime folds
-    // the chain (full ← inc1 ← inc2) transparently.
-    w.crash_node(0);
-    w.crash_node(1);
-    let rs = w
-        .start_restart(
-            "slm",
-            incs[1],
-            &[("rank0".into(), 2), ("rank1".into(), 3)],
-            ProtocolMode::Blocking,
-        )
-        .unwrap();
-    assert!(w.run_until_op(rs, 20_000_000));
-    // The ring resumes and keeps making progress (halo checks would fail
-    // loudly on any corruption).
-    let progress = |w: &World| {
-        w.peek_guest("slm", "rank0", 1, workloads::slm::ITER_COUNTER_ADDR, 8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .unwrap_or(0)
-    };
-    let before = progress(&w);
-    w.run_for(SimDuration::from_millis(60));
-    assert!(progress(&w) > before, "ring advances after chained restore");
-}
-
-#[test]
 fn allreduce_collective_survives_checkpoint_and_restart() {
     use workloads::allreduce::AllReduceConfig;
     let cfg = AllReduceConfig {

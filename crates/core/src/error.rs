@@ -18,8 +18,8 @@ use zap::manager::ZapError;
 pub enum CruzError {
     /// A coordinator or agent control socket could not be created/bound.
     ControlSocket(NetError),
-    /// A stored checkpoint image failed to decode or an incremental chain
-    /// failed to fold. Restarting from it must abort, not panic.
+    /// A stored checkpoint image failed to decode. Restarting from it must
+    /// abort, not panic.
     BadImage(ImageError),
     /// The Zap layer refused a checkpoint/restore action.
     Zap(ZapError),

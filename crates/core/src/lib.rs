@@ -23,12 +23,12 @@
 //! * [`coordinator`] — the coordinator state machine (Fig. 2), including
 //!   the Fig. 4 early-release optimization and timeout-driven abort;
 //! * [`agent`] — the per-node agent state machine;
-//! * [`store`] — image paths, two-phase-commit records and the
-//!   content-addressed deduplicating chunk store on the shared filesystem;
+//! * [`store`] — two-phase-commit records and the content-addressed chunk
+//!   store every image is kept in, on the shared filesystem;
 //! * [`chunk`] — deterministic content addressing and the per-chunk
 //!   RLE+LZ codec the store builds on;
 //! * [`pagecache`] — the epoch-granular page-digest cache that lets clean
-//!   pages skip re-hash/re-encode on the dedup capture path;
+//!   pages skip re-hash/re-encode on the capture path;
 //! * [`replog`] — the k-way replicated store: every mutation goes through
 //!   a deterministic append-only operation log per replica, reads are
 //!   digest-checked quorum reads, and scrub repairs divergence by

@@ -1,4 +1,4 @@
-//! Epoch-granular page-digest cache for the dedup capture path.
+//! Epoch-granular page-digest cache for the capture path.
 //!
 //! Steady-state checkpoint epochs touch a small fraction of a pod's pages,
 //! yet the reference [`CheckpointStore::prepare_chunked`] re-hashes and
@@ -12,7 +12,9 @@
 //!   already maintains (every capture clears the dirty set, so "not dirty
 //!   at capture" means "byte-identical to the previous capture").
 //! * [`DigestCache`] remembers, per pod and page identity, the chunk ids
-//!   and encoded containers the previous capture produced.
+//!   the previous capture produced, plus the encoded container of each
+//!   chunk that capture made novel until its write lands. A hit whose
+//!   chunk the store already holds (the steady state) needs no bytes.
 //! * [`CheckpointStore::prepare_chunked_hinted`] reuses those entries for
 //!   clean pages and computes everything else fresh — the compute ranges
 //!   fan out across the [`crate::parpool`] worker pool (each worker with
@@ -26,9 +28,9 @@
 //! (and on how many threads) produces it. Chunk ranges are identical (same
 //! cuts, same `split_ranges`). For a cache hit, the cut's raw bytes equal
 //! the previous capture's bytes (the clean bit), so the remembered
-//! `ChunkId` and encoded container are exactly what re-hashing and
-//! re-encoding would yield. Computed ranges go through the pool's ordered
-//! merge, so their sequence is the input sequence at every thread count.
+//! `ChunkId` is exactly what re-hashing would yield. Computed ranges go
+//! through the pool's ordered merge, so their sequence is the input
+//! sequence at every thread count.
 //! Novelty and stored-length accounting always consult the live
 //! filesystem, in range order, on the calling thread — identically on both
 //! paths. The equivalence is pinned by the `hotpath_properties` and
@@ -44,13 +46,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use zap::image::{ImageWriter, PodImage};
+use zap::image::PodImage;
 
 use crate::chunk::{self, ChunkId};
 use crate::parpool::Pool;
-use crate::store::{
-    encode_ranges, CheckpointStore, PreparedChunked, StoreConfig, MANIFEST_MAGIC, STORE_VERSION,
-};
+use crate::store::{encode_ranges, CheckpointStore, ManifestBuilder, PreparedChunked, StoreConfig};
 
 /// Stable identity of a page payload across epochs: `(group index within
 /// the image, guest page address)`.
@@ -124,7 +124,10 @@ pub fn page_hints(
 struct CachedChunk {
     id: ChunkId,
     seg_len: usize,
-    stored: Arc<[u8]>,
+    /// The encoded container, kept only while the chunk may be missing
+    /// from the store: set if it was novel at that prepare, dropped by
+    /// [`DigestCache::release_stored`] once the write lands.
+    stored: Option<Arc<[u8]>>,
 }
 
 /// Per-job page-digest cache: remembered chunk work from each pod's most
@@ -159,6 +162,20 @@ impl DigestCache {
         self.pods.remove(pod_name);
     }
 
+    /// Drops every remembered container. Call once a capture's prepared
+    /// writes have landed: the store then holds every chunk they made
+    /// novel, so hits need no bytes until the next capture.
+    pub fn release_stored(&mut self) {
+        for chunk in self
+            .pods
+            .values_mut()
+            .flat_map(|p| p.values_mut())
+            .flatten()
+        {
+            chunk.stored = None;
+        }
+    }
+
     /// Chunk ranges served from the cache since construction.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -186,7 +203,7 @@ enum PlanStep {
     /// shifts with the image layout).
     Meta { ri: usize },
     /// A clean, keyed cut whose remembered entry still matches its range
-    /// layout: chunk ids and containers reused as-is.
+    /// layout: chunk ids reused as-is.
     CutHit {
         ri: usize,
         rj: usize,
@@ -203,13 +220,12 @@ enum PlanStep {
 
 impl CheckpointStore {
     /// [`CheckpointStore::prepare_chunked`] with a page-digest cache:
-    /// produces a byte-identical [`PreparedChunked`], but chunk ranges
-    /// covered by a clean, keyed [`PageHint`] reuse the id and encoded
-    /// container remembered from the pod's previous prepare instead of
-    /// re-hashing and re-encoding, and the ranges that *are* computed fan
-    /// out across the worker pool. The cut list is `hints` itself (each
-    /// hint's `(offset, len)`), so callers pass the same page cuts they
-    /// would hand the reference path.
+    /// produces a byte-identical manifest, but chunk ranges covered by a
+    /// clean, keyed [`PageHint`] reuse the id remembered from the pod's
+    /// previous prepare instead of re-hashing or re-encoding. The ranges
+    /// that *are* computed fan out across the worker pool. The cut list is
+    /// `hints` itself (each hint's `(offset, len)`), so callers pass the
+    /// same page cuts they would hand the reference path.
     ///
     /// Three passes: **plan** (classify every range as cache-hit or
     /// compute — pure bookkeeping), **encode** (the compute ranges through
@@ -305,35 +321,27 @@ impl CheckpointStore {
             })
         };
         let mut next: BTreeMap<PageKey, Vec<CachedChunk>> = BTreeMap::new();
-        let mut seen = BTreeSet::new();
-        let mut chunks = Vec::with_capacity(ranges.len());
-        let mut mw = ImageWriter::new();
-        mw.u32(MANIFEST_MAGIC);
-        mw.u16(STORE_VERSION);
-        mw.u64(raw.len() as u64);
-        mw.u32(ranges.len() as u32);
+        let mut m = ManifestBuilder::new(self, raw.len(), ranges.len());
         for step in steps {
             match step {
                 PlanStep::Meta { ri } => {
                     let (s, l) = ranges[ri];
                     let (id, stored) = take(s, l);
-                    self.push_prepared(&mut mw, &mut seen, &mut chunks, id, s + l, l, stored);
+                    m.push(id, s + l, l, || stored);
                 }
                 PlanStep::CutHit { ri, rj, key, entry } => {
                     cache.hits += (rj - ri) as u64;
-                    for (c, &(s, l)) in entry.iter().zip(&ranges[ri..rj]) {
-                        self.push_prepared(
-                            &mut mw,
-                            &mut seen,
-                            &mut chunks,
-                            c.id,
-                            s + l,
-                            l,
-                            c.stored.clone(),
-                        );
+                    let mut kept = Vec::with_capacity(rj - ri);
+                    for (c, &(s, l)) in entry.into_iter().zip(&ranges[ri..rj]) {
+                        let seg = &raw[s..s + l];
+                        let stored = m.push(c.id, s + l, l, || {
+                            c.stored
+                                .unwrap_or_else(|| chunk::encode_chunk(seg, cfg.compress).into())
+                        });
+                        kept.push(CachedChunk { stored, ..c });
                     }
                     if let Some(k) = key {
-                        next.insert(k, entry);
+                        next.insert(k, kept);
                     }
                 }
                 PlanStep::CutCompute { ri, rj, key } => {
@@ -341,12 +349,12 @@ impl CheckpointStore {
                     let mut fresh = Vec::with_capacity(rj - ri);
                     for &(s, l) in &ranges[ri..rj] {
                         let (id, stored) = take(s, l);
+                        let stored = m.push(id, s + l, l, || stored);
                         fresh.push(CachedChunk {
                             id,
                             seg_len: l,
-                            stored: stored.clone(),
+                            stored,
                         });
-                        self.push_prepared(&mut mw, &mut seen, &mut chunks, id, s + l, l, stored);
                     }
                     if let Some(k) = key {
                         next.insert(k, fresh);
@@ -357,12 +365,7 @@ impl CheckpointStore {
         // Wholesale replacement: entries are only ever trusted for exactly
         // one epoch step (the clean bit's guarantee covers nothing older).
         cache.pods.insert(pod_name.to_string(), next);
-        PreparedChunked {
-            raw_len: raw.len() as u64,
-            manifest: mw.finish(),
-            chunks,
-            raw_digest: ChunkId::of(raw),
-        }
+        m.finish()
     }
 }
 

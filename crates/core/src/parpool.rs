@@ -18,8 +18,9 @@
 //! Together: byte-identical output at every thread count, which is what
 //! lets the golden-trace digests stay pinned while wall-clock capture cost
 //! drops with available cores. `threads == 1` short-circuits to a plain
-//! serial loop — the reference oracle the twin-path property tests compare
-//! the pooled paths against.
+//! serial loop, and so does an input too small to repay a thread spawn
+//! (fewer than two workers' worth of `MIN_ITEMS_PER_WORKER` items); the
+//! calling thread always works as one of the workers.
 //!
 //! Thread count resolution (see [`resolve`]): an explicit non-zero request
 //! wins; `0` means "auto" — the `CRUZ_THREADS` environment variable if set,
@@ -53,6 +54,12 @@ pub fn resolve(threads: usize) -> usize {
         .unwrap_or(1)
 }
 
+/// Fewest items each worker must get before another thread is spawned.
+/// The pool's items are chunk-sized (≤ one page): hashing or encoding one
+/// takes a few microseconds, while spawning a thread takes tens, so small
+/// images (a few pages) are cheaper to process on the calling thread.
+const MIN_ITEMS_PER_WORKER: usize = 32;
+
 /// A fixed-width worker pool. Creating one is free — threads are scoped to
 /// each [`Pool::map_ordered`] call, so a `Pool` is just the resolved width.
 #[derive(Debug, Clone, Copy)]
@@ -79,8 +86,8 @@ impl Pool {
     /// `f` may mutate freely: state never crosses workers, and `f` must be
     /// pure with respect to everything else, so the per-item results are
     /// independent of which worker computes them. With one worker (or a
-    /// trivially small input) this is exactly a serial fold over one state
-    /// — the reference oracle.
+    /// small input) this is exactly a serial fold over one state on the
+    /// calling thread.
     pub fn map_ordered<T, R, S>(
         &self,
         items: Vec<T>,
@@ -92,13 +99,14 @@ impl Pool {
         R: Send,
     {
         let n = items.len();
-        if self.threads <= 1 || n <= 1 {
+        let workers = self.threads.min(n / MIN_ITEMS_PER_WORKER);
+        if workers <= 1 {
             let mut state = init();
             return items.into_iter().map(|it| f(&mut state, it)).collect();
         }
         // Indexed blocks, a few per worker so a slow block (incompressible
         // pages) can't serialize the tail behind one thread.
-        let block = n.div_ceil(self.threads * 4).max(1);
+        let block = n.div_ceil(workers * 4);
         let mut blocks: Vec<Vec<T>> = Vec::with_capacity(n.div_ceil(block));
         let mut it = items.into_iter();
         loop {
@@ -109,7 +117,6 @@ impl Pool {
             blocks.push(b);
         }
         let nblocks = blocks.len();
-        let workers = self.threads.min(nblocks);
         // Every block is queued up front, so workers never block on recv:
         // the channel acts as a Mutex-guarded deque they drain to empty.
         let (task_tx, task_rx) = mpsc::channel::<(usize, Vec<T>)>();
@@ -122,36 +129,36 @@ impl Pool {
         let tasks = Mutex::new(task_rx);
         let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<R>)>();
         let mut out: Vec<Option<Vec<R>>> = (0..nblocks).map(|_| None).collect();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let res_tx = res_tx.clone();
-                let tasks = &tasks;
-                let init = &init;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        // Lock → recv → unlock; recv never waits because the
-                        // queue was filled before any worker started.
-                        let task = {
-                            let rx = match tasks.lock() {
-                                Ok(rx) => rx,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            rx.try_recv()
-                        };
-                        let Ok((idx, block)) = task else {
-                            return; // queue drained
-                        };
-                        let results: Vec<R> =
-                            block.into_iter().map(|item| f(&mut state, item)).collect();
-                        if res_tx.send((idx, results)).is_err() {
-                            return; // collector gone; nothing left to do
-                        }
-                    }
-                });
+        // One worker's loop: lock → recv → unlock; recv never waits because
+        // the queue was filled before any worker started.
+        let work = |res_tx: mpsc::Sender<(usize, Vec<R>)>| {
+            let mut state = init();
+            loop {
+                let task = {
+                    let rx = match tasks.lock() {
+                        Ok(rx) => rx,
+                        Err(poisoned) => poisoned.into_inner(),
+                    };
+                    rx.try_recv()
+                };
+                let Ok((idx, block)) = task else {
+                    return; // queue drained
+                };
+                let results: Vec<R> = block.into_iter().map(|item| f(&mut state, item)).collect();
+                if res_tx.send((idx, results)).is_err() {
+                    return; // collector gone; nothing left to do
+                }
             }
-            drop(res_tx);
+        };
+        thread::scope(|scope| {
+            let work = &work;
+            for _ in 1..workers {
+                let res_tx = res_tx.clone();
+                scope.spawn(move || work(res_tx));
+            }
+            // The calling thread is the last worker; handing it the original
+            // sender closes the channel once every worker is done.
+            work(res_tx);
             // Slot results by block index: this is the ordered merge.
             while let Ok((idx, results)) = res_rx.recv() {
                 out[idx] = Some(results);

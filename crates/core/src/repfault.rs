@@ -68,8 +68,8 @@ pub enum ReplicaFaultKind {
     /// record's bytes land) and the replica dies. The valid-prefix reader
     /// drops the torn tail, so the replica's log is one op short.
     TornLog(u8),
-    /// The log append completes but the op's data files (chunk bodies or
-    /// the plain image) are torn to `frac`/256 of their bytes. The replica
+    /// The log append completes but the op's chunk bodies are torn to
+    /// `frac`/256 of their bytes. The replica
     /// stays up — alive but corrupt — which is exactly what quorum reads
     /// must survive and scrub must detect (its log matches the reference
     /// byte-for-byte; only the tree digest betrays it).

@@ -15,7 +15,7 @@
 //!   (ties break to the lowest replica index), and serves the first
 //!   replica whose reassembled bytes actually verify against it. A torn
 //!   or corrupt copy — caught by the store's per-chunk content addresses
-//!   and whole-image digest — just falls through to a healthy replica.
+//!   and image root — just falls through to a healthy replica.
 //! * **Scrub/repair** — [`ReplicatedStore::scrub_and_repair`] elects a
 //!   reference replica by `(newest committed epoch in the log, log
 //!   length)` — commit history first, so a freshly compacted log outranks
@@ -58,7 +58,7 @@ use crate::store::{self, CheckpointStore, PreparedChunked, PreparedPut, StoreCon
 /// Magic number of a replica operation log (`CRZL`).
 pub const REPLOG_MAGIC: u32 = 0x4352_5a4c;
 /// Current operation-log format version.
-pub const REPLOG_VERSION: u16 = 1;
+pub const REPLOG_VERSION: u16 = 2;
 
 // ---- fault model (re-exported from the fault plane) --------------------------
 
@@ -74,16 +74,7 @@ use crate::repfault::{read_dead, take_fault_effect, write_dead, Cur};
 /// canonical constructor of replica state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogOp {
-    /// A plain (monolithic) pod-image put.
-    PutPlain {
-        /// Pod name.
-        pod: String,
-        /// Checkpoint epoch.
-        epoch: u64,
-        /// The serialized image bytes.
-        bytes: Vec<u8>,
-    },
-    /// A chunked (deduplicated) pod-image put. Carries only the chunk
+    /// A pod-image put (tag 1; tag 0 is retired). Carries only the chunk
     /// bodies that were novel when the op was logged — replay encounters
     /// the same store state the writer saw, so the log is self-contained.
     PutChunked {
@@ -93,7 +84,7 @@ pub enum LogOp {
         epoch: u64,
         /// The serialized `CRZM` manifest.
         manifest: Vec<u8>,
-        /// Whole-image content digest (the epoch's digest sidecar).
+        /// The image root (the epoch's digest sidecar).
         image: ChunkId,
         /// Novel chunk bodies: `(content address, encoded container)`.
         blobs: Vec<(ChunkId, Vec<u8>)>,
@@ -121,7 +112,7 @@ impl LogOp {
     /// The protocol point this op counts as for fault injection.
     pub fn point(&self) -> StoreOpPoint {
         match self {
-            LogOp::PutPlain { .. } | LogOp::PutChunked { .. } => StoreOpPoint::Put,
+            LogOp::PutChunked { .. } => StoreOpPoint::Put,
             LogOp::Commit { .. } => StoreOpPoint::Commit,
             LogOp::Discard { .. } | LogOp::Prune { .. } => StoreOpPoint::Discard,
             LogOp::Gc => StoreOpPoint::Gc,
@@ -131,12 +122,6 @@ impl LogOp {
     fn encode_payload(&self) -> (u8, Vec<u8>) {
         let mut w = Vec::new();
         match self {
-            LogOp::PutPlain { pod, epoch, bytes } => {
-                put_str(&mut w, pod);
-                w.extend_from_slice(&epoch.to_le_bytes());
-                put_bytes(&mut w, bytes);
-                (0, w)
-            }
             LogOp::PutChunked {
                 pod,
                 epoch,
@@ -176,11 +161,6 @@ impl LogOp {
     fn decode_payload(tag: u8, payload: &[u8]) -> Option<LogOp> {
         let mut c = Cur::new(payload);
         let op = match tag {
-            0 => LogOp::PutPlain {
-                pod: c.string()?,
-                epoch: c.u64()?,
-                bytes: c.bytes()?,
-            },
             1 => {
                 let pod = c.string()?;
                 let epoch = c.u64()?;
@@ -298,23 +278,11 @@ pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
 // ---- op application ---------------------------------------------------------
 
 /// Applies one log op to a replica's store tree. `torn` injects a
-/// torn-data fault: the op's log record landed whole, but chunk bodies /
-/// the plain image only got `frac`/256 of their bytes (and the plain arm's
-/// digest sidecar never lands — the disk died before the rename). Returns
-/// the GC reclaim count for [`LogOp::Gc`], `0` otherwise.
+/// torn-data fault: the op's log record landed whole, but chunk bodies
+/// only got `frac`/256 of their bytes. Returns the GC reclaim count for
+/// [`LogOp::Gc`], `0` otherwise.
 fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
     match op {
-        LogOp::PutPlain { pod, epoch, bytes } => match torn {
-            None => store.put_image(pod, *epoch, bytes.clone()),
-            Some(frac) => {
-                let keep = bytes.len() * frac as usize / 256;
-                if keep > 0 {
-                    store
-                        .fs()
-                        .write_file(&store.image_path(pod, *epoch), bytes[..keep].to_vec());
-                }
-            }
-        },
         LogOp::PutChunked {
             pod,
             epoch,
@@ -330,11 +298,9 @@ fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
     0
 }
 
-/// The chunked-put apply: write absent chunk bodies (torn to a prefix
-/// under a [`ReplicaFaultKind::TornChunk`] fault), then the digest sidecar
-/// and manifest, then bump refcounts — once per manifest record, and only
-/// if this exact manifest wasn't already on disk (idempotence under
-/// replay, mirroring [`CheckpointStore::put_prepared`]).
+/// The put apply: write absent chunk bodies (torn to a prefix under a
+/// [`ReplicaFaultKind::TornChunk`] fault), then land the manifest exactly
+/// as [`CheckpointStore::put_prepared`] does.
 fn apply_chunked(
     store: &CheckpointStore,
     pod: &str,
@@ -354,19 +320,10 @@ fn apply_chunked(
             store.fs().write_file(&path, stored);
         }
     }
-    let mpath = store.manifest_path(pod, epoch);
-    let fresh = store.fs().read_file(&mpath).as_deref() != Some(manifest);
-    store.write_digest(pod, epoch, image);
-    store.fs().write_file(&mpath, manifest.to_vec());
-    if fresh {
-        if let Some((_, recs)) = store::decode_manifest(manifest) {
-            let mut refs = store.read_refs();
-            for (id, _, _) in recs {
-                *refs.entry(id).or_insert(0) += 1;
-            }
-            store.write_refs(&refs);
-        }
-    }
+    let ids: Vec<ChunkId> = store::decode_manifest(manifest)
+        .map(|(_, recs)| recs.into_iter().map(|(id, _, _)| id).collect())
+        .unwrap_or_default();
+    store.land_manifest(pod, epoch, manifest.to_vec(), image, ids);
 }
 
 // ---- the replicated store ---------------------------------------------------
@@ -525,44 +482,35 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).put_prepared(pod_name, epoch, put);
         }
-        let op = match put {
-            PreparedPut::Plain(bytes) => LogOp::PutPlain {
-                pod: pod_name.to_owned(),
-                epoch,
-                bytes,
-            },
-            PreparedPut::Chunked(c) => {
-                // The record carries exactly the chunk bodies absent from
-                // the live replicas' shared state right now, so replaying
-                // the log from empty encounters the same store the writer
-                // saw and the log stays self-contained.
-                let primary = self.primary();
-                let mut seen = BTreeSet::new();
-                let mut blobs = Vec::new();
-                for ch in &c.chunks {
-                    if seen.insert(ch.id) && !self.fs.exists(&primary.chunk_path(ch.id)) {
-                        blobs.push((ch.id, ch.stored.to_vec()));
-                    }
-                }
-                LogOp::PutChunked {
-                    pod: pod_name.to_owned(),
-                    epoch,
-                    manifest: c.manifest().to_vec(),
-                    image: c.image_digest(),
-                    blobs,
-                }
+        let PreparedPut::Chunked(c) = put;
+        // The record carries exactly the chunk bodies absent from the live
+        // replicas' shared state right now, so replaying the log from
+        // empty encounters the same store the writer saw and the log stays
+        // self-contained.
+        let primary = self.primary();
+        let mut blobs = Vec::new();
+        for ch in &c.chunks {
+            let Some(stored) = &ch.stored else { continue };
+            if !self.fs.exists(&primary.chunk_path(ch.id)) {
+                blobs.push((ch.id, stored.to_vec()));
             }
-        };
-        self.write_op(op);
+        }
+        self.write_op(LogOp::PutChunked {
+            pod: pod_name.to_owned(),
+            epoch,
+            image: c.image_digest(),
+            manifest: c.manifest,
+            blobs,
+        });
     }
 
     /// Applies only a torn prefix of a prepared write — a disk tear, not a
     /// store op, so it is deliberately *not* logged: replay never
     /// resurrects the stranded bytes, and scrub's wipe+replay reclaims
     /// them on every replica.
-    pub fn put_torn(&self, pod_name: &str, epoch: u64, put: &PreparedPut, frac: u8) {
+    pub fn put_torn(&self, put: &PreparedPut, frac: u8) {
         for r in self.alive_replicas() {
-            self.replica(r).put_torn(pod_name, epoch, put, frac);
+            self.replica(r).put_torn(put, frac);
         }
     }
 
@@ -658,8 +606,8 @@ impl ReplicatedStore {
             let rep = self.replica(r);
             if rep.read_digest(pod_name, epoch) == Some(want) {
                 // The store's own read path re-verifies chunk addresses
-                // and the whole-image digest, so a corrupt copy under a
-                // matching sidecar still falls through.
+                // and the image root, so a corrupt copy under a matching
+                // sidecar still falls through.
                 if let Some(bytes) = rep.get_image(pod_name, epoch) {
                     return Some(bytes);
                 }
@@ -816,8 +764,6 @@ impl ReplicatedStore {
                         image,
                         blobs,
                     });
-                } else if let Some(bytes) = self.fs.read_file(&store.image_path(&pod, epoch)) {
-                    ops.push(LogOp::PutPlain { pod, epoch, bytes });
                 }
             }
             if committed.contains(&epoch) {
@@ -968,11 +914,6 @@ mod tests {
     #[test]
     fn record_codec_round_trips_every_op() {
         let ops = vec![
-            LogOp::PutPlain {
-                pod: "a".into(),
-                epoch: 3,
-                bytes: vec![1, 2, 3],
-            },
             LogOp::PutChunked {
                 pod: "b".into(),
                 epoch: 4,
@@ -1185,7 +1126,8 @@ mod tests {
     fn k1_writes_no_control_or_log_files() {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "job", 1);
-        rs.put_prepared("pod0", 1, PreparedPut::Plain(image(0x55, 512)));
+        let prepared = rs.prepare_chunked(&image(0x55, 512), &[], &dedup_cfg());
+        rs.put_prepared("pod0", 1, PreparedPut::Chunked(prepared));
         rs.commit(1);
         assert_eq!(rs.compact_logs(), CompactReport::default());
         assert!(fs.list("/replog/").is_empty());

@@ -6,24 +6,30 @@
 //! decision point). A crash mid-checkpoint therefore never leaves a
 //! half-written epoch that restart could pick up.
 //!
-//! # Two image representations
+//! # One image form
 //!
-//! * **Plain** — one monolithic `<pod>.img` per pod per epoch (the seed
-//!   layout, and what the paper's testbed wrote).
-//! * **Deduplicated** — the serialized image is split into
-//!   content-addressed chunks (see [`crate::chunk`]) stored once per job
-//!   under `/ckpt/<job>/chunks/`, and the epoch holds only a small
-//!   `<pod>.manifest` referencing them by hash. Unchanged pages re-hash to
-//!   chunks that already exist, so a steady-state epoch writes only the
-//!   pages that actually changed (plus the manifest) — the optimization
-//!   that attacks the disk-write term dominating Fig. 5(a).
+//! Every pod image is stored the same way: the serialized image is split
+//! into content-addressed chunks (see [`crate::chunk`]) stored once per job
+//! under `/ckpt/<job>/chunks/`, and the epoch holds only a small
+//! `<pod>.manifest` referencing them by hash, plus a digest sidecar.
+//! Unchanged pages re-hash to chunks that already exist, so a steady-state
+//! epoch adds only the pages that actually changed (plus the manifest).
+//! Manifests always describe the complete image, so every epoch restores
+//! on its own: one read, one decode, no chain to fold.
 //!
-//! Reads are representation-transparent: [`CheckpointStore::get_image`]
-//! returns the full image bytes either way, so a restart from a dedup
-//! epoch is byte-equivalent to a restart from a plain image. Manifests are
-//! always *full-fidelity* (they describe the complete image), which is why
-//! the dedup store subsumes incremental checkpointing: there is no delta
-//! chain to fold at restore time.
+//! [`StoreConfig::dedup`] does not change what is stored; it only selects
+//! the simulated disk charge the cluster applies to these reads and writes
+//! (the full image, as the paper's testbed wrote it, or only the novel
+//! chunks and the bytes a restore actually reads).
+//!
+//! # The image digest
+//!
+//! The sidecar pins [`image_root`]: a fold over the image length and the
+//! ordered `(chunk id, segment length)` list. Every chunk id is the content
+//! address of its bytes, so the root fixes the whole image without another
+//! pass over it. Capture folds it from the ids the chunking already
+//! computed; a read checks the manifest against it before fetching any
+//! chunk, then checks each chunk against its id.
 //!
 //! Chunks are garbage-collected by reference counting: every manifest
 //! reference bumps the chunk's count in the job's `chunks/REFS` table, and
@@ -38,6 +44,7 @@ use simos::fs::NetFs;
 use zap::image::{ImageReader, ImageWriter};
 
 use crate::chunk::{self, ChunkId, CodecScratch};
+use crate::digest;
 use crate::parpool::Pool;
 
 /// Magic number of a chunk manifest (`CRZM`).
@@ -45,20 +52,22 @@ pub const MANIFEST_MAGIC: u32 = 0x4352_5a4d;
 /// Magic number of the chunk refcount table (`CRZR`).
 pub const REFS_MAGIC: u32 = 0x4352_5a52;
 /// Current manifest / refcount-table format version.
-pub const STORE_VERSION: u16 = 1;
+pub const STORE_VERSION: u16 = 2;
 
-/// Knobs of the deduplicating store (threaded from `ClusterParams` for
-/// ablation: plain vs. dedup vs. dedup+compress).
+/// Knobs of the chunk store (threaded from `ClusterParams` for ablation:
+/// plain vs. dedup vs. dedup+compress disk charge).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Maximum chunk payload size. Page payloads get their own chunk
     /// boundaries regardless, so the default of one page keeps page-granular
     /// dedup exact.
     pub chunk_bytes: usize,
-    /// Store images as content-addressed chunk manifests instead of
-    /// monolithic files.
+    /// Charge the simulated disk for deduplicated traffic — novel chunks
+    /// on capture, the stored chunk bytes on restore — instead of the full
+    /// image both ways. Images are chunk manifests either way; this is the
+    /// disk-charge model only.
     pub dedup: bool,
-    /// Apply the per-chunk RLE+LZ codec (only meaningful with `dedup`).
+    /// Apply the per-chunk RLE+LZ codec to stored chunks.
     pub compress: bool,
     /// Worker threads for the parallel capture/restore pipeline: `0`
     /// (default) resolves via `CRUZ_THREADS` / available parallelism, `1`
@@ -105,38 +114,35 @@ impl StoreConfig {
     }
 }
 
-/// One chunk of a prepared (not yet applied) dedup write.
+/// One chunk of a prepared (not yet applied) image write.
 #[derive(Debug, Clone)]
 pub struct PreparedChunk {
     /// Content address.
     pub id: ChunkId,
     /// Exclusive end offset of this chunk's raw bytes within the image.
     pub raw_end: u64,
-    /// The encoded chunk container (what the chunk file will hold).
-    /// Reference-counted so the page-digest cache can hand the same encoded
-    /// bytes to consecutive epochs without re-encoding or copying; `Arc`
-    /// (not `Rc`) so pool workers can produce segments on other threads.
-    pub stored: Arc<[u8]>,
-    /// True if the store lacked this chunk when the write was prepared —
-    /// the bytes that actually hit the disk.
-    pub novel: bool,
+    /// The encoded container of a *novel* chunk — one the store lacked when
+    /// the write was prepared, so its bytes actually hit the disk. `None`
+    /// for a chunk the store already holds (or that this image repeats):
+    /// nothing of it is written, so no bytes are kept.
+    pub stored: Option<Arc<[u8]>>,
 }
 
-/// A dedup image write split into its cheap (hash/dedup, done at capture
-/// time) and effectful (filesystem mutation, done when the simulated disk
-/// write completes) halves, so the cluster can model the disk cost of
-/// exactly the novel bytes while deferring store mutation to the
-/// event that represents durability.
+/// An image write split into its cheap (hash/dedup, done at capture time)
+/// and effectful (filesystem mutation, done when the simulated disk write
+/// completes) halves, so the cluster can model the disk cost of the write
+/// while deferring store mutation to the event that represents
+/// durability.
 #[derive(Debug, Clone)]
 pub struct PreparedChunked {
     pub(crate) raw_len: u64,
     pub(crate) manifest: Vec<u8>,
     pub(crate) chunks: Vec<PreparedChunk>,
-    /// Content digest of the whole serialized image, written as the epoch's
-    /// digest sidecar so every read path can verify the reassembled bytes
-    /// end-to-end (a torn manifest that still decodes cleanly is caught
-    /// here, not just by the per-chunk checks).
-    pub(crate) raw_digest: ChunkId,
+    /// The image's [`image_root`], written as the epoch's digest sidecar so
+    /// every read path can verify the image end to end (a torn manifest
+    /// that still decodes cleanly is caught here, not just by the
+    /// per-chunk checks).
+    pub(crate) root: ChunkId,
 }
 
 impl PreparedChunked {
@@ -145,10 +151,10 @@ impl PreparedChunked {
         self.raw_len
     }
 
-    /// Content digest of the full serialized image (what the digest
-    /// sidecar will pin for end-to-end read verification).
+    /// The image's [`image_root`] (what the digest sidecar will pin for
+    /// end-to-end read verification).
     pub fn image_digest(&self) -> ChunkId {
-        self.raw_digest
+        self.root
     }
 
     /// Length of the manifest file.
@@ -172,8 +178,7 @@ impl PreparedChunked {
     pub fn novel_writes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.chunks
             .iter()
-            .filter(|c| c.novel)
-            .map(|c| (c.raw_end, c.stored.len() as u64))
+            .filter_map(|c| Some((c.raw_end, c.stored.as_ref()?.len() as u64)))
     }
 
     /// Total bytes this write sends to disk (novel chunks + manifest).
@@ -188,39 +193,19 @@ impl PreparedChunked {
 
     /// Chunks absent from the store at prepare time.
     pub fn novel_count(&self) -> usize {
-        self.chunks.iter().filter(|c| c.novel).count()
+        self.chunks.iter().filter(|c| c.stored.is_some()).count()
     }
 }
 
-/// A pod-image write prepared for a specific store representation.
+/// A prepared pod-image write, as the store's write paths take it.
 #[derive(Debug, Clone)]
 pub enum PreparedPut {
-    /// Monolithic image bytes.
-    Plain(Vec<u8>),
-    /// Chunked, deduplicated write.
+    /// A chunk-manifest write (the only image form).
     Chunked(PreparedChunked),
 }
 
-impl PreparedPut {
-    /// Length of the serialized image this write represents.
-    pub fn raw_len(&self) -> u64 {
-        match self {
-            PreparedPut::Plain(b) => b.len() as u64,
-            PreparedPut::Chunked(c) => c.raw_len(),
-        }
-    }
-
-    /// Bytes this write sends to disk.
-    pub fn new_bytes(&self) -> u64 {
-        match self {
-            PreparedPut::Plain(b) => b.len() as u64,
-            PreparedPut::Chunked(c) => c.new_bytes(),
-        }
-    }
-}
-
-/// Path helpers, commit bookkeeping and the dedup chunk store for one
-/// job's checkpoints.
+/// Path helpers, commit bookkeeping and the chunk store for one job's
+/// checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     fs: NetFs,
@@ -287,14 +272,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Path of a pod's plain image for an epoch.
-    pub fn image_path(&self, pod_name: &str, epoch: u64) -> String {
-        format!(
-            "{}/ckpt/{}/epoch{:08}/{}.img",
-            self.root, self.job, epoch, pod_name
-        )
-    }
-
     /// Path of a pod's chunk manifest for an epoch.
     pub fn manifest_path(&self, pod_name: &str, epoch: u64) -> String {
         format!(
@@ -303,11 +280,10 @@ impl CheckpointStore {
         )
     }
 
-    /// Path of a pod image's content-digest sidecar for an epoch: 16 bytes
-    /// pinning the FNV digest of the full serialized image, verified on
-    /// every read. Sidecar writes are free on the simulated disk (only
-    /// image and chunk bytes are charged), so torn-write detection never
-    /// perturbs pinned traces.
+    /// Path of a pod image's digest sidecar for an epoch: 16 bytes pinning
+    /// the image's [`image_root`], verified on every read. Sidecar writes
+    /// are free on the simulated disk (only image and chunk bytes are
+    /// charged), so torn-write detection never perturbs pinned traces.
     pub fn digest_path(&self, pod_name: &str, epoch: u64) -> String {
         format!(
             "{}/ckpt/{}/epoch{:08}/{}.fnv",
@@ -337,35 +313,13 @@ impl CheckpointStore {
 
     // ---- writes -------------------------------------------------------------
 
-    /// Writes a pod image in the plain (monolithic) representation, plus
-    /// its digest sidecar so reads can verify the body end-to-end.
-    pub fn put_image(&self, pod_name: &str, epoch: u64, bytes: Vec<u8>) {
-        self.write_digest(pod_name, epoch, ChunkId::of(&bytes));
-        self.fs.write_file(&self.image_path(pod_name, epoch), bytes);
-    }
-
-    /// Reads the digest sidecar of a pod image, if present and well-formed.
-    pub fn read_digest(&self, pod_name: &str, epoch: u64) -> Option<ChunkId> {
-        let bytes = self.fs.read_file(&self.digest_path(pod_name, epoch))?;
-        let arr: [u8; 16] = bytes.try_into().ok()?;
-        let lo = u64::from_le_bytes(arr[..8].try_into().ok()?);
-        let hi = u64::from_le_bytes(arr[8..].try_into().ok()?);
-        Some(ChunkId(lo, hi))
-    }
-
-    pub(crate) fn write_digest(&self, pod_name: &str, epoch: u64, d: ChunkId) {
-        let mut v = Vec::with_capacity(16);
-        v.extend_from_slice(&d.0.to_le_bytes());
-        v.extend_from_slice(&d.1.to_le_bytes());
-        self.fs.write_file(&self.digest_path(pod_name, epoch), v);
-    }
-
     /// Splits a serialized image into content-addressed chunks and computes
     /// which of them the store already holds. Pure with respect to the
     /// store: nothing is written until [`CheckpointStore::put_prepared`].
     /// `cuts` are the page-payload regions of `raw` (see
     /// `PodImage::encode_with_page_cuts`), which pin chunk boundaries so
-    /// unchanged pages dedup across epochs.
+    /// unchanged pages dedup across epochs. The hash/encode work shards
+    /// across the worker pool; one worker runs it serially.
     pub fn prepare_chunked(
         &self,
         raw: &[u8],
@@ -374,168 +328,93 @@ impl CheckpointStore {
     ) -> PreparedChunked {
         let ranges = chunk::split_ranges(raw.len(), cuts, cfg.chunk_bytes);
         let pool = Pool::new(self.threads_for(cfg));
-        let mut seen = BTreeSet::new();
-        let mut chunks = Vec::with_capacity(ranges.len());
-        let mut mw = ImageWriter::new();
-        mw.u32(MANIFEST_MAGIC);
-        mw.u16(STORE_VERSION);
-        mw.u64(raw.len() as u64);
-        mw.u32(ranges.len() as u32);
-        if pool.threads() == 1 {
-            // The serial reference path, kept verbatim: per-range fold +
-            // fresh-allocation encode on the calling thread. This is the
-            // oracle every pooled prepare is property-tested against (and
-            // the threads=1 baseline `bench_parallel` measures from).
-            for (start, len) in ranges {
-                let seg = &raw[start..start + len];
-                let id = ChunkId::of(seg);
-                let stored: Arc<[u8]> = chunk::encode_chunk(seg, cfg.compress).into();
-                self.push_prepared(
-                    &mut mw,
-                    &mut seen,
-                    &mut chunks,
-                    id,
-                    start + len,
-                    len,
-                    stored,
-                );
-            }
-        } else {
-            // Fan the pure hash/encode work out across the pool; the
-            // ordered merge below does the filesystem-consulting novelty
-            // and size accounting in range order, exactly like the serial
-            // loop (the shared `NetFs` handle is single-threaded).
-            let encoded = encode_ranges(raw, &ranges, cfg.compress, &pool);
-            for (&(start, len), (id, stored)) in ranges.iter().zip(encoded) {
-                self.push_prepared(
-                    &mut mw,
-                    &mut seen,
-                    &mut chunks,
-                    id,
-                    start + len,
-                    len,
-                    stored,
-                );
-            }
+        let encoded = encode_ranges(raw, &ranges, cfg.compress, &pool);
+        let mut m = ManifestBuilder::new(self, raw.len(), ranges.len());
+        for (&(start, len), (id, stored)) in ranges.iter().zip(encoded) {
+            m.push(id, start + len, len, || stored);
         }
-        PreparedChunked {
-            raw_len: raw.len() as u64,
-            manifest: mw.finish(),
-            chunks,
-            raw_digest: ChunkId::of(raw),
-        }
+        m.finish()
     }
 
-    /// Appends one chunk's manifest record and [`PreparedChunk`], with the
-    /// live-filesystem novelty and size accounting both prepare paths
-    /// share. Size accounting prefers the bytes already on disk: a chunk
-    /// written earlier (possibly under another codec setting) is what a
-    /// restore will actually read.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_prepared(
-        &self,
-        mw: &mut ImageWriter,
-        seen: &mut BTreeSet<ChunkId>,
-        chunks: &mut Vec<PreparedChunk>,
-        id: ChunkId,
-        raw_end: usize,
-        seg_len: usize,
-        stored: Arc<[u8]>,
-    ) {
-        let path = self.chunk_path(id);
-        let stored_len = self.fs.len_of(&path).unwrap_or(stored.len() as u64);
-        mw.u64(id.0);
-        mw.u64(id.1);
-        mw.u32(seg_len as u32);
-        mw.u32(stored_len as u32);
-        let novel = seen.insert(id) && !self.fs.exists(&path);
-        chunks.push(PreparedChunk {
-            id,
-            raw_end: raw_end as u64,
-            stored,
-            novel,
-        });
-    }
-
-    /// Applies a prepared write: stores absent chunks, writes the manifest
-    /// (or the plain image), and bumps chunk refcounts. Takes the prepared
-    /// write by value so the plain arm moves its image bytes straight to the
-    /// filesystem (no clone of the full image) and the chunked arm moves
-    /// its manifest.
+    /// Applies a prepared write: stores its novel chunks, then lands the
+    /// manifest, its digest sidecar and its chunk references. Chunks the
+    /// store held at prepare time are still there: nothing deletes a
+    /// job's chunks while one of its checkpoints is in flight (operations
+    /// on a job are serialized, and recovery aborts an in-flight
+    /// checkpoint, whose put is then dropped, before it discards or
+    /// collects anything).
     pub fn put_prepared(&self, pod_name: &str, epoch: u64, put: PreparedPut) {
-        match put {
-            PreparedPut::Plain(bytes) => self.put_image(pod_name, epoch, bytes),
-            PreparedPut::Chunked(c) => {
-                for ch in &c.chunks {
-                    let path = self.chunk_path(ch.id);
-                    if !self.fs.exists(&path) {
-                        self.fs.write_file(&path, ch.stored.to_vec());
-                    }
-                }
-                let mpath = self.manifest_path(pod_name, epoch);
-                // Idempotence under replay: re-applying a put whose
-                // identical manifest already landed (an operation-log
-                // replay after a replica crash) must not double-count the
-                // chunk references it already took.
-                let fresh = self.fs.read_file(&mpath).as_deref() != Some(&c.manifest[..]);
-                self.write_digest(pod_name, epoch, c.raw_digest);
-                self.fs.write_file(&mpath, c.manifest);
-                if fresh {
-                    let mut refs = self.read_refs();
-                    for ch in &c.chunks {
-                        *refs.entry(ch.id).or_insert(0) += 1;
-                    }
-                    self.write_refs(&refs);
-                }
+        let PreparedPut::Chunked(c) = put;
+        for ch in &c.chunks {
+            let Some(stored) = &ch.stored else { continue };
+            let path = self.chunk_path(ch.id);
+            if !self.fs.exists(&path) {
+                self.fs.write_file(&path, stored.to_vec());
             }
+        }
+        let ids = c.chunks.iter().map(|ch| ch.id);
+        self.land_manifest(pod_name, epoch, c.manifest, c.root, ids);
+    }
+
+    /// Writes an image's digest sidecar and manifest (its chunks already on
+    /// disk) and takes one reference per manifest record in `ids`.
+    /// Idempotent under replay: re-applying a put whose identical manifest
+    /// already landed (an operation-log replay after a replica crash) must
+    /// not double-count the chunk references it already took.
+    pub(crate) fn land_manifest(
+        &self,
+        pod_name: &str,
+        epoch: u64,
+        manifest: Vec<u8>,
+        root: ChunkId,
+        ids: impl IntoIterator<Item = ChunkId>,
+    ) {
+        let mpath = self.manifest_path(pod_name, epoch);
+        let fresh = self.fs.read_file(&mpath).as_deref() != Some(&manifest[..]);
+        let mut sidecar = Vec::with_capacity(16);
+        sidecar.extend_from_slice(&root.0.to_le_bytes());
+        sidecar.extend_from_slice(&root.1.to_le_bytes());
+        self.fs
+            .write_file(&self.digest_path(pod_name, epoch), sidecar);
+        self.fs.write_file(&mpath, manifest);
+        if fresh {
+            let mut refs = self.read_refs();
+            for id in ids {
+                *refs.entry(id).or_insert(0) += 1;
+            }
+            self.write_refs(&refs);
         }
     }
 
     /// Applies only a torn prefix of a prepared write, modeling a disk
-    /// write that failed partway: the first `frac/256` of the image's
-    /// bytes reach disk, the manifest (or the plain image's tail) never
-    /// does, and no chunk references are taken. A torn chunked write
-    /// therefore strands orphan chunk files — exactly what
-    /// [`CheckpointStore::orphan_chunks`] audits and
-    /// [`CheckpointStore::gc_orphan_chunks`] reclaims. The epoch can never
-    /// be committed through this path: no durability is ever reported for
-    /// a torn write.
-    pub fn put_torn(&self, pod_name: &str, epoch: u64, put: &PreparedPut, frac: u8) {
-        match put {
-            PreparedPut::Plain(bytes) => {
-                let keep = (bytes.len() as u64 * frac as u64 / 256) as usize;
-                if keep > 0 {
-                    self.fs
-                        .write_file(&self.image_path(pod_name, epoch), bytes[..keep].to_vec());
-                }
-            }
-            PreparedPut::Chunked(c) => {
-                let cutoff = c.raw_len * frac as u64 / 256;
-                for ch in &c.chunks {
-                    if !ch.novel || ch.raw_end > cutoff {
-                        continue;
-                    }
-                    let path = self.chunk_path(ch.id);
-                    if !self.fs.exists(&path) {
-                        self.fs.write_file(&path, ch.stored.to_vec());
-                    }
-                }
+    /// write that failed partway: the novel chunks in the first `frac/256`
+    /// of the image's bytes reach disk, the manifest never does, and no
+    /// chunk references are taken. A torn write therefore strands orphan
+    /// chunk files — exactly what [`CheckpointStore::orphan_chunks`]
+    /// audits and [`CheckpointStore::gc_orphan_chunks`] reclaims. The epoch
+    /// can never be committed through this path: no durability is ever
+    /// reported for a torn write.
+    pub fn put_torn(&self, put: &PreparedPut, frac: u8) {
+        let PreparedPut::Chunked(c) = put;
+        let cutoff = c.raw_len * frac as u64 / 256;
+        for ch in &c.chunks {
+            let Some(stored) = &ch.stored else { continue };
+            let path = self.chunk_path(ch.id);
+            if ch.raw_end <= cutoff && !self.fs.exists(&path) {
+                self.fs.write_file(&path, stored.to_vec());
             }
         }
     }
 
     // ---- reads --------------------------------------------------------------
 
-    /// Reads a pod image, reassembling it from chunks when the epoch holds
-    /// a manifest. The returned bytes are identical to what `put` received,
-    /// whichever representation stored them. Returns `None` if the image
-    /// (or any chunk it references) is missing, structurally corrupt, or
-    /// fails its digest sidecar — a torn prefix that still happens to
-    /// decode is rejected here, not left for the caller to trip over.
+    /// Reads a pod image, reassembling it from its chunks. The returned
+    /// bytes are identical to what the prepare received. Returns `None` if
+    /// the manifest, the digest sidecar or any chunk is missing,
+    /// structurally corrupt, or fails verification — a torn prefix that
+    /// still happens to decode is rejected here, not left for the caller
+    /// to trip over.
     pub fn get_image(&self, pod_name: &str, epoch: u64) -> Option<Vec<u8>> {
-        if let Some(bytes) = self.fs.read_file(&self.image_path(pod_name, epoch)) {
-            return (self.read_digest(pod_name, epoch)? == ChunkId::of(&bytes)).then_some(bytes);
-        }
         let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
         let want = self.read_digest(pod_name, epoch)?;
         self.reconstruct(&manifest, want)
@@ -544,19 +423,13 @@ impl CheckpointStore {
     /// Logical size of a pod image in bytes (the size of the serialized
     /// image, not of its on-disk representation), if present.
     pub fn image_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
-        if let Some(len) = self.fs.len_of(&self.image_path(pod_name, epoch)) {
-            return Some(len);
-        }
         let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
         decode_manifest(&manifest).map(|(raw_len, _)| raw_len)
     }
 
-    /// Physical bytes a restart must read for a pod image: the plain file,
-    /// or the manifest plus every distinct chunk it references.
+    /// Physical bytes a restart must read for a pod image: the manifest
+    /// plus every distinct chunk it references.
     pub fn stored_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
-        if let Some(len) = self.fs.len_of(&self.image_path(pod_name, epoch)) {
-            return Some(len);
-        }
         let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
         let (_, recs) = decode_manifest(&manifest)?;
         let mut seen = BTreeSet::new();
@@ -569,15 +442,28 @@ impl CheckpointStore {
         Some(total)
     }
 
+    /// Reads the digest sidecar of a pod image, if present and well-formed.
+    pub fn read_digest(&self, pod_name: &str, epoch: u64) -> Option<ChunkId> {
+        let bytes = self.fs.read_file(&self.digest_path(pod_name, epoch))?;
+        let arr: [u8; 16] = bytes.try_into().ok()?;
+        let lo = u64::from_le_bytes(arr[..8].try_into().ok()?);
+        let hi = u64::from_le_bytes(arr[8..].try_into().ok()?);
+        Some(ChunkId(lo, hi))
+    }
+
     fn reconstruct(&self, manifest: &[u8], want: ChunkId) -> Option<Vec<u8>> {
         let (raw_len, recs) = decode_manifest(manifest)?;
-        // Chunk files are read on the calling thread (the `NetFs` handle is
+        // The manifest must fold to the sidecar's root — a torn or swapped
+        // manifest is refused before any chunk is read. Chunk files are
+        // read on the calling thread (the `NetFs` handle is
         // single-threaded); the pure decompression fans out across the
         // pool and reassembles in manifest order. Each decoded chunk must
-        // re-hash to the content address the manifest named it by — a chunk
-        // file whose torn tail still decodes cannot masquerade as the
-        // original — and the assembled image must match the digest sidecar,
-        // which closes the same hole for torn manifests.
+        // re-hash to the content address the manifest named it by, so a
+        // chunk file whose torn tail still decodes cannot masquerade as
+        // the original.
+        if image_root(raw_len, recs.iter().map(|&(id, seg_len, _)| (id, seg_len))) != want {
+            return None;
+        }
         let mut stored = Vec::with_capacity(recs.len());
         for (id, seg_len, _) in recs {
             stored.push((self.fs.read_file(&self.chunk_path(id))?, id, seg_len));
@@ -596,7 +482,7 @@ impl CheckpointStore {
         for raw in decoded {
             out.extend_from_slice(&raw?);
         }
-        (out.len() as u64 == raw_len && ChunkId::of(&out) == want).then_some(out)
+        (out.len() as u64 == raw_len).then_some(out)
     }
 
     // ---- commit bookkeeping -------------------------------------------------
@@ -861,7 +747,7 @@ impl CheckpointStore {
         ids
     }
 
-    /// Pod names with images (plain or chunked) in an epoch.
+    /// Pod names with images in an epoch.
     pub fn pods_in_epoch(&self, epoch: u64) -> Vec<String> {
         let prefix = format!("{}/ckpt/{}/epoch{:08}/", self.root, self.job, epoch);
         self.fs
@@ -869,9 +755,7 @@ impl CheckpointStore {
             .into_iter()
             .filter_map(|p| {
                 let f = p.strip_prefix(&prefix)?;
-                f.strip_suffix(".img")
-                    .or_else(|| f.strip_suffix(".manifest"))
-                    .map(str::to_owned)
+                f.strip_suffix(".manifest").map(str::to_owned)
             })
             .collect()
     }
@@ -880,11 +764,12 @@ impl CheckpointStore {
 /// Hashes and encodes image ranges through the worker pool, in input
 /// order: per-range `(ChunkId, stored container)` via the zero-page fast
 /// path and a per-worker [`CodecScratch`]. Byte-identical to the serial
-/// reference (`ChunkId::of` + fresh-allocation `encode_chunk`) — the
-/// zero-page and scratch-codec equivalences are pinned by chunk-level unit
-/// tests, the ordered merge by the `parallel_properties` twin-path
-/// proptests. Shared by [`CheckpointStore::prepare_chunked`] and the
-/// hinted prepare in [`crate::pagecache`].
+/// reference (`ChunkId::of` + fresh-allocation `encode_chunk` per range) —
+/// the zero-page and scratch-codec equivalences are pinned by chunk-level
+/// unit tests, the whole prepare by the `parallel_properties` twin-path
+/// proptests, which keep that reference loop. Shared by
+/// [`CheckpointStore::prepare_chunked`] and the hinted prepare in
+/// [`crate::pagecache`].
 pub(crate) fn encode_ranges(
     raw: &[u8],
     ranges: &[(usize, usize)],
@@ -906,6 +791,106 @@ pub(crate) fn encode_ranges(
             }
         },
     )
+}
+
+/// Builds one image's manifest and [`PreparedChunk`] list in image order,
+/// with the live-filesystem novelty and size accounting both prepare paths
+/// share (this one and the hinted prepare in [`crate::pagecache`]).
+pub(crate) struct ManifestBuilder<'s> {
+    store: &'s CheckpointStore,
+    raw_len: u64,
+    mw: ImageWriter,
+    /// Stored length of each chunk this image makes novel.
+    novel: BTreeMap<ChunkId, u64>,
+    chunks: Vec<PreparedChunk>,
+}
+
+impl<'s> ManifestBuilder<'s> {
+    /// Starts the manifest of a `raw_len`-byte image split into `count`
+    /// chunks.
+    pub(crate) fn new(store: &'s CheckpointStore, raw_len: usize, count: usize) -> Self {
+        let mut mw = ImageWriter::new();
+        mw.u32(MANIFEST_MAGIC);
+        mw.u16(STORE_VERSION);
+        mw.u64(raw_len as u64);
+        mw.u32(count as u32);
+        ManifestBuilder {
+            store,
+            raw_len: raw_len as u64,
+            mw,
+            novel: BTreeMap::new(),
+            chunks: Vec::with_capacity(count),
+        }
+    }
+
+    /// Appends the chunk ending at `raw_end`; `stored` yields its encoded
+    /// container and is called only if the chunk is novel, in which case
+    /// the container is also returned. Size accounting prefers the bytes
+    /// already on disk: a chunk written earlier (possibly under another
+    /// codec setting) is what a restore will actually read.
+    pub(crate) fn push(
+        &mut self,
+        id: ChunkId,
+        raw_end: usize,
+        seg_len: usize,
+        stored: impl FnOnce() -> Arc<[u8]>,
+    ) -> Option<Arc<[u8]>> {
+        let (stored_len, stored) = match self.store.fs.len_of(&self.store.chunk_path(id)) {
+            Some(len) => (len, None),
+            None => match self.novel.get(&id) {
+                Some(&len) => (len, None),
+                None => {
+                    let bytes = stored();
+                    self.novel.insert(id, bytes.len() as u64);
+                    (bytes.len() as u64, Some(bytes))
+                }
+            },
+        };
+        self.mw.u64(id.0);
+        self.mw.u64(id.1);
+        self.mw.u32(seg_len as u32);
+        self.mw.u32(stored_len as u32);
+        self.chunks.push(PreparedChunk {
+            id,
+            raw_end: raw_end as u64,
+            stored: stored.clone(),
+        });
+        stored
+    }
+
+    /// The finished write, its digest root folded from the chunk list.
+    pub(crate) fn finish(self) -> PreparedChunked {
+        let mut start = 0;
+        let segs = self.chunks.iter().map(|c| {
+            let seg_len = (c.raw_end - start) as u32;
+            start = c.raw_end;
+            (c.id, seg_len)
+        });
+        let root = image_root(self.raw_len, segs);
+        PreparedChunked {
+            raw_len: self.raw_len,
+            manifest: self.mw.finish(),
+            chunks: self.chunks,
+            root,
+        }
+    }
+}
+
+/// The image digest an epoch's sidecar pins: a fold over `raw_len` and the
+/// ordered `(chunk id, segment length)` list of the image's manifest. Chunk
+/// ids are content addresses, so equal roots mean equal images, and the
+/// fold costs O(chunks) instead of a pass over the image bytes.
+pub fn image_root(raw_len: u64, segs: impl IntoIterator<Item = (ChunkId, u32)>) -> ChunkId {
+    let (mut lo, mut hi) =
+        digest::fold2(digest::OFFSET, digest::OFFSET_ALT, &raw_len.to_le_bytes());
+    for (id, seg_len) in segs {
+        let mut rec = [0u8; 20];
+        rec[..8].copy_from_slice(&id.0.to_le_bytes());
+        rec[8..16].copy_from_slice(&id.1.to_le_bytes());
+        rec[16..].copy_from_slice(&seg_len.to_le_bytes());
+        (lo, hi) = digest::fold2(lo, hi, &rec);
+    }
+    ChunkId(lo, hi)
 }
 
 /// Parses a manifest into `(raw_len, [(id, seg_len, stored_len)])`.
@@ -933,12 +918,18 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u
 mod tests {
     use super::*;
 
+    /// Stores `raw` as `pod`'s image for `epoch` (no page cuts).
+    fn put(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8]) {
+        let prepared = s.prepare_chunked(raw, &[], &cfg());
+        s.put_prepared(pod, epoch, PreparedPut::Chunked(prepared));
+    }
+
     #[test]
     fn latest_cache_tracks_discard() {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
         for e in [1u64, 2, 3] {
-            s.put_image("p", e, vec![e as u8]);
+            put(&s, "p", e, &[e as u8]);
             s.commit(e);
         }
         assert_eq!(s.latest_committed_epoch(), Some(3));
@@ -956,8 +947,8 @@ mod tests {
     fn discard_rolls_back_an_epoch() {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
-        s.put_image("a", 2, vec![1]);
-        s.put_image("b", 2, vec![2]);
+        put(&s, "a", 2, &[1]);
+        put(&s, "b", 2, &[2]);
         s.commit(2);
         s.discard_epoch(2);
         assert!(!s.is_committed(2));
@@ -970,7 +961,7 @@ mod tests {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
         for e in [1u64, 2, 3] {
-            s.put_image("p", e, vec![e as u8]);
+            put(&s, "p", e, &[e as u8]);
             s.commit(e);
         }
         assert_eq!(s.committed_epochs(), vec![1, 2, 3]);
@@ -980,7 +971,7 @@ mod tests {
         assert_eq!(s.get_image("p", 1), None);
     }
 
-    // ---- dedup store --------------------------------------------------------
+    // ---- chunk store --------------------------------------------------------
 
     /// A toy "image": `reps` distinct page-sized blocks of periodic
     /// (compressible) content, with block `hot` overwritten by `fill`.
@@ -1113,7 +1104,7 @@ mod tests {
         let full = s.prepare_chunked(&raw, &cuts, &cfg());
         let novel = full.novel_count();
         // Half the image reaches disk; the manifest never does.
-        s.put_torn("p", 1, &PreparedPut::Chunked(full), 128);
+        s.put_torn(&PreparedPut::Chunked(full), 128);
         let stranded = s.live_chunks().len();
         assert!(stranded > 0, "a torn write leaves a chunk prefix");
         assert!(stranded < novel, "but not the whole image");
@@ -1122,20 +1113,15 @@ mod tests {
         assert!(!s.is_committed(1));
         assert_eq!(s.gc_orphan_chunks(), stranded);
         assert!(s.live_chunks().is_empty());
-        // Torn plain writes truncate: frac 0 writes nothing at all.
-        s.put_torn("p", 2, &PreparedPut::Plain(vec![9; 100]), 64);
-        assert_eq!(s.fs.len_of(&s.image_path("p", 2)), Some(25));
-        s.put_torn("p", 3, &PreparedPut::Plain(vec![9; 100]), 0);
-        assert!(!s.fs.exists(&s.image_path("p", 3)));
     }
 
     #[test]
     fn uncommitted_epochs_surface_half_written_state() {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
-        s.put_image("p", 1, vec![1]);
+        put(&s, "p", 1, &[1]);
         s.commit(1);
-        s.put_image("p", 2, vec![2]); // no commit record: crashed mid-write
+        put(&s, "p", 2, &[2]); // no commit record: crashed mid-write
         assert_eq!(s.all_epochs(), vec![1, 2]);
         assert_eq!(s.uncommitted_epochs(), vec![2]);
         s.discard_epoch(2);

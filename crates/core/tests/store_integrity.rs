@@ -2,15 +2,16 @@
 //! checkpoint store.
 //!
 //! The store must never hand back bytes it cannot prove are the ones that
-//! were written: every read path — plain images, chunk bodies, manifests —
-//! re-verifies content against the epoch's digest sidecar and the chunks'
-//! content addresses, and fails closed (returns `None`) on any mismatch.
+//! were written: every read re-verifies the manifest against the epoch's
+//! digest sidecar (the image root) and every chunk body against its
+//! content address, and fails closed (returns `None`) on any mismatch.
 //! The mutation paths must also be idempotent under operation-log replay:
 //! re-applying a put or a discard after a replica crash must leave
 //! refcounts and on-disk state exactly as a single application would.
 
 use cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
 use simos::fs::NetFs;
+use zap::image::{ImageReader, ImageWriter};
 
 /// A toy "image": `reps` distinct page-sized blocks of periodic
 /// (compressible) content, with block `hot` overwritten by `fill`.
@@ -43,12 +44,53 @@ fn put_chunked(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8], cuts: &[(
     s.put_prepared(pod, epoch, PreparedPut::Chunked(prep));
 }
 
+/// Stores `raw` as one image with no page cuts.
+fn put(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8]) {
+    put_chunked(s, pod, epoch, raw, &[]);
+}
+
+/// One manifest record: `(id_lo, id_hi, seg_len, stored_len)`.
+type Record = (u64, u64, u32, u32);
+
+/// Decodes a manifest, lets `edit` rewrite its `raw_len` and records, and
+/// re-encodes it with a valid checksum — a torn manifest that still decodes
+/// cleanly, which only the image root can reject.
+fn resealed(manifest: &[u8], edit: impl FnOnce(&mut u64, &mut Vec<Record>)) -> Vec<u8> {
+    let mut r = ImageReader::verify(manifest).unwrap();
+    let (magic, version) = (r.u32().unwrap(), r.u16().unwrap());
+    let mut raw_len = r.u64().unwrap();
+    let n = r.u32().unwrap();
+    let mut recs: Vec<Record> = (0..n)
+        .map(|_| {
+            (
+                r.u64().unwrap(),
+                r.u64().unwrap(),
+                r.u32().unwrap(),
+                r.u32().unwrap(),
+            )
+        })
+        .collect();
+    edit(&mut raw_len, &mut recs);
+    let mut w = ImageWriter::new();
+    w.u32(magic);
+    w.u16(version);
+    w.u64(raw_len);
+    w.u32(recs.len() as u32);
+    for (lo, hi, seg_len, stored_len) in recs {
+        w.u64(lo);
+        w.u64(hi);
+        w.u32(seg_len);
+        w.u32(stored_len);
+    }
+    w.finish()
+}
+
 // ---- lifecycle (public API) -------------------------------------------------
 
 #[test]
 fn commit_gating() {
     let s = CheckpointStore::new(NetFs::new(), "job1");
-    s.put_image("pod0", 1, vec![1, 2, 3]);
+    put(&s, "pod0", 1, &[1, 2, 3]);
     assert!(!s.is_committed(1));
     assert_eq!(s.latest_committed_epoch(), None, "uncommitted is invisible");
     s.commit(1);
@@ -61,7 +103,7 @@ fn commit_gating() {
 fn latest_epoch_wins() {
     let s = CheckpointStore::new(NetFs::new(), "j");
     for e in [3u64, 1, 7, 5] {
-        s.put_image("p", e, vec![e as u8]);
+        put(&s, "p", e, &[e as u8]);
         s.commit(e);
     }
     assert_eq!(s.latest_committed_epoch(), Some(7));
@@ -70,8 +112,8 @@ fn latest_epoch_wins() {
 #[test]
 fn pods_in_epoch_lists_images() {
     let s = CheckpointStore::new(NetFs::new(), "j");
-    s.put_image("x", 4, vec![]);
-    s.put_image("y", 4, vec![]);
+    put(&s, "x", 4, &[]);
+    put(&s, "y", 4, &[]);
     s.commit(4);
     let mut pods = s.pods_in_epoch(4);
     pods.sort();
@@ -83,7 +125,7 @@ fn jobs_are_isolated() {
     let fs = NetFs::new();
     let a = CheckpointStore::new(fs.clone(), "a");
     let b = CheckpointStore::new(fs, "b");
-    a.put_image("p", 1, vec![]);
+    put(&a, "p", 1, &[]);
     a.commit(1);
     assert_eq!(b.latest_committed_epoch(), None);
 }
@@ -94,21 +136,29 @@ fn jobs_are_isolated() {
 fn corrupted_plain_image_is_rejected() {
     let fs = NetFs::new();
     let s = CheckpointStore::new(fs.clone(), "j");
-    s.put_image("p", 1, vec![7u8; 1024]);
+    // Stored uncompressed, so a flipped body byte still decodes.
+    let plain = StoreConfig {
+        compress: false,
+        ..cfg()
+    };
+    let raw: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
+    let prep = s.prepare_chunked(&raw, &[], &plain);
+    s.put_prepared("p", 1, PreparedPut::Chunked(prep));
     s.commit(1);
     assert!(s.get_image("p", 1).is_some(), "clean read succeeds");
 
-    // Flip one byte in the middle of the stored image: same length, same
-    // structure, silently wrong content — only the digest sidecar can
+    // Flip one byte in the middle of a stored chunk: same length, same
+    // structure, silently wrong content — only the content address can
     // catch it.
-    let path = s.image_path("p", 1);
-    let mut bytes = fs.read_file(&path).unwrap();
-    bytes[512] ^= 0xff;
-    fs.write_file(&path, bytes);
+    let id = *s.chunks_referenced_by(1).iter().next().unwrap();
+    let mut bytes = fs.read_file(&s.chunk_path(id)).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    fs.write_file(&s.chunk_path(id), bytes);
     assert_eq!(s.get_image("p", 1), None, "bit rot must not be served");
     assert!(
         s.image_len("p", 1).is_some(),
-        "the file itself is still there — only the verified read refuses"
+        "the manifest itself is still there — only the verified read refuses"
     );
 }
 
@@ -122,13 +172,28 @@ fn swapped_manifest_that_still_decodes_is_rejected() {
     put_chunked(&s, "b", 1, &raw_b, &cuts_b);
     s.commit(1);
 
-    // Overwrite b's manifest with a's: the result is a perfectly
-    // well-formed manifest (magic, version, records, resolvable chunks)
-    // that reconstructs the WRONG image. Structural decode cannot catch
-    // this — only the whole-image digest sidecar can.
-    let stolen = fs.read_file(&s.manifest_path("a", 1)).unwrap();
-    fs.write_file(&s.manifest_path("b", 1), stolen);
-    assert_eq!(s.get_image("b", 1), None, "torn/swapped manifest rejected");
+    // Each input is a perfectly well-formed manifest (magic, version,
+    // checksum, resolvable chunks) that describes the WRONG image.
+    // Structural decode cannot catch these — only the image root in the
+    // digest sidecar can.
+    let own = fs.read_file(&s.manifest_path("b", 1)).unwrap();
+    let torn = [
+        // a's manifest under b's name.
+        ("stolen", fs.read_file(&s.manifest_path("a", 1)).unwrap()),
+        // Two records of equal length swapped: every chunk still verifies.
+        ("swapped", resealed(&own, |_, recs| recs.swap(0, 1))),
+        ("raw_len", resealed(&own, |raw_len, _| *raw_len += 1)),
+        ("seg_len", resealed(&own, |_, recs| recs[0].2 -= 1)),
+    ];
+    for (what, manifest) in torn {
+        assert_ne!(manifest, own, "{what}: input must differ");
+        fs.write_file(&s.manifest_path("b", 1), manifest);
+        assert_eq!(s.get_image("b", 1), None, "{what}: torn manifest rejected");
+    }
+    // Control: resealing without an edit is byte-identical and reads.
+    assert_eq!(resealed(&own, |_, _| {}), own);
+    fs.write_file(&s.manifest_path("b", 1), own);
+    assert_eq!(s.get_image("b", 1), Some(raw_b));
     assert_eq!(
         s.get_image("a", 1),
         Some(raw_a),
@@ -158,7 +223,7 @@ fn corrupt_chunk_body_is_rejected_by_content_address() {
 fn missing_digest_sidecar_fails_closed() {
     let fs = NetFs::new();
     let s = CheckpointStore::new(fs.clone(), "j");
-    s.put_image("plain", 1, vec![1, 2, 3]);
+    put(&s, "plain", 1, &[1, 2, 3]);
     let (raw, cuts) = toy_image(4, 0, 0x11);
     put_chunked(&s, "chunked", 1, &raw, &cuts);
     s.commit(1);

@@ -97,7 +97,7 @@ pub struct AddressSpace {
     /// Private pages, keyed by page-aligned address.
     pages: BTreeMap<u64, Box<[u8]>>,
     /// Pages written since the last [`AddressSpace::clear_dirty`] — the
-    /// book-keeping incremental checkpointing consumes.
+    /// book-keeping the checkpoint store's page-digest cache consumes.
     dirty: std::collections::BTreeSet<u64>,
     /// An armed copy-on-write snapshot, if a checkpoint drain is pending.
     cow: Option<CowSnapshot>,
@@ -118,8 +118,6 @@ struct CowSnapshot {
     /// not resident (demand-zero) at arm time and must not appear in the
     /// snapshot even though it is resident now.
     preserved: BTreeMap<u64, Option<Box<[u8]>>>,
-    /// The dirty set at arm time (what an incremental drain captures).
-    dirty_at_arm: std::collections::BTreeSet<u64>,
     /// Bytes of pre-image copies forced by post-arm writes — the extra
     /// copy cost COW trades for a short freeze.
     copied_bytes: u64,
@@ -253,15 +251,6 @@ impl AddressSpace {
         self.dirty.insert(page_addr);
     }
 
-    /// Pages written since the last [`AddressSpace::clear_dirty`], with
-    /// their current contents (zero-filled pages included — a page that
-    /// *became* zero must still appear in an incremental image).
-    pub fn dirty_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.dirty
-            .iter()
-            .filter_map(|&a| self.pages.get(&a).map(|p| (a, &p[..])))
-    }
-
     /// Number of dirty pages.
     pub fn dirty_count(&self) -> usize {
         self.dirty.len()
@@ -322,7 +311,6 @@ impl AddressSpace {
     pub fn cow_arm(&mut self) {
         self.cow = Some(CowSnapshot {
             preserved: BTreeMap::new(),
-            dirty_at_arm: self.dirty.clone(),
             copied_bytes: 0,
         });
     }
@@ -385,44 +373,19 @@ impl AddressSpace {
             .collect()
     }
 
-    /// Drains the pages that were dirty at arm time, with their arm-time
-    /// contents — the incremental counterpart of
-    /// [`AddressSpace::dirty_pages`] (zero pages included, non-resident
-    /// ones skipped, exactly as there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no snapshot is armed.
-    pub fn cow_snapshot_dirty_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        let snap = self.cow.as_ref().expect("no armed snapshot to drain");
-        snap.dirty_at_arm
-            .iter()
-            .filter_map(|&a| self.cow_page_at_arm(a).map(|p| (a, p.to_vec())))
-            .collect()
-    }
-
-    /// Payload bytes a drain will produce (`dirty_only` selects the
-    /// incremental page set), without materializing any copy — what the
-    /// checkpoint scheduler needs at arm time to plan the background
-    /// encode.
-    pub fn cow_pending_bytes(&self, dirty_only: bool) -> u64 {
-        let Some(snap) = self.cow.as_ref() else {
+    /// Payload bytes a drain will produce, without materializing any
+    /// copy — what the checkpoint scheduler needs at arm time to plan the
+    /// background encode.
+    pub fn cow_pending_bytes(&self) -> u64 {
+        if self.cow.is_none() {
             return 0;
-        };
-        if dirty_only {
-            snap.dirty_at_arm
-                .iter()
-                .filter(|&&a| self.cow_page_at_arm(a).is_some())
-                .count() as u64
-                * PAGE_SIZE
-        } else {
-            self.cow_candidate_addrs()
-                .into_iter()
-                .filter_map(|a| self.cow_page_at_arm(a))
-                .filter(|p| p.iter().any(|&b| b != 0))
-                .count() as u64
-                * PAGE_SIZE
         }
+        self.cow_candidate_addrs()
+            .into_iter()
+            .filter_map(|a| self.cow_page_at_arm(a))
+            .filter(|p| p.iter().any(|&b| b != 0))
+            .count() as u64
+            * PAGE_SIZE
     }
 
     /// Preserves a page's pre-image before its first post-arm mutation
@@ -484,31 +447,33 @@ impl AddressSpace {
 
 impl Memory for AddressSpace {
     fn load(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
-        let len = buf.len();
-        // Collect chunks via walk; we need interior mutability workaround:
-        // gather into a temp vec of (offset, data).
-        let mut out = vec![0u8; len];
-        self.walk(addr, len, false, |space, a, off, chunk| {
+        // Straight into `buf`, with no temporary: this runs on every
+        // instruction fetch, and a per-fetch allocation takes the
+        // allocator's locked path once the process has started any thread
+        // (the store's worker pool does).
+        self.walk(addr, buf.len(), false, |space, a, off, chunk| {
+            let out = &mut buf[off..off + chunk];
             let area = space.area_for(a).expect("validated").clone();
             match &area.backing {
                 AreaBacking::Private => {
                     let page_addr = a & !(PAGE_SIZE - 1);
-                    if let Some(page) = space.pages.get(&page_addr) {
-                        let in_page = (a - page_addr) as usize;
-                        out[off..off + chunk].copy_from_slice(&page[in_page..in_page + chunk]);
+                    match space.pages.get(&page_addr) {
+                        Some(page) => {
+                            let in_page = (a - page_addr) as usize;
+                            out.copy_from_slice(&page[in_page..in_page + chunk]);
+                        }
+                        None => out.fill(0), // demand-zero
                     }
-                    // else: demand-zero, already zeroed
                 }
                 AreaBacking::Shared(seg) => {
                     let data = seg.data.borrow();
                     let rel = (a - area.start) as usize;
                     let take = chunk.min(data.len().saturating_sub(rel));
-                    out[off..off + take].copy_from_slice(&data[rel..rel + take]);
+                    out[..take].copy_from_slice(&data[rel..rel + take]);
+                    out[take..].fill(0);
                 }
             }
-        })?;
-        buf.copy_from_slice(&out);
-        Ok(())
+        })
     }
 
     fn store(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
@@ -625,7 +590,7 @@ mod tests {
         assert_eq!(s.dirty_count(), 0);
         s.store_u64(0x1000, 1).unwrap();
         s.store_u64(0x3000, 2).unwrap();
-        let dirty: Vec<u64> = s.dirty_pages().map(|(a, _)| a).collect();
+        let dirty: Vec<u64> = s.dirty_set().iter().copied().collect();
         assert_eq!(dirty, vec![0x1000, 0x3000]);
         s.clear_dirty();
         assert_eq!(s.dirty_count(), 0);
@@ -708,17 +673,9 @@ mod tests {
         s.store_u8(0x2000, 3).unwrap(); // dirty again
         s.cow_arm();
         s.store_u8(0x3000, 4).unwrap(); // post-arm: excluded everywhere
-        assert_eq!(s.cow_pending_bytes(false), 2 * PAGE_SIZE);
-        assert_eq!(s.cow_pending_bytes(true), PAGE_SIZE);
+        assert_eq!(s.cow_pending_bytes(), 2 * PAGE_SIZE);
         assert_eq!(
-            s.cow_snapshot_dirty_pages()
-                .iter()
-                .map(|(a, _)| *a)
-                .collect::<Vec<_>>(),
-            vec![0x2000]
-        );
-        assert_eq!(
-            s.cow_pending_bytes(false),
+            s.cow_pending_bytes(),
             s.cow_snapshot_pages()
                 .iter()
                 .map(|(_, p)| p.len() as u64)

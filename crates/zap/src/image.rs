@@ -21,6 +21,10 @@ use simnet::tcp::{TcpSnapshot, TcpState};
 pub const MAGIC: u32 = 0x4352_5a31;
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// The image-kind byte after the version: every image is full. The
+/// retired incremental format wrote `1` there (followed by a base epoch);
+/// [`PodImage::decode`] refuses it with [`ImageError::BadTag`].
+const FULL_IMAGE: u8 = 0;
 
 /// A decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,11 +157,15 @@ impl<'a> ImageReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.pos + n > self.data.len() {
-            return Err(ImageError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        // A hostile length prefix can be anything up to `u64::MAX`: the
+        // bound check itself must not overflow.
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.data.len())
+            .ok_or(ImageError::Truncated)?;
+        let s = &self.data[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -484,15 +492,9 @@ pub struct ProcImage {
     pub console: Vec<String>,
 }
 
-/// A complete pod checkpoint (or, when `base_epoch` is set, an
-/// *incremental* delta carrying only pages dirtied since that base).
+/// A complete pod checkpoint: every image restores on its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PodImage {
-    /// The epoch this image is a delta against (`None` = full image).
-    /// Kernel-object state (sockets, pipes, semaphores, shared memory,
-    /// processes) is always carried in full — it is small; only private
-    /// pages are delta-encoded.
-    pub base_epoch: Option<u64>,
     /// Pod name.
     pub name: String,
     /// The pod's externally routable IP (preserved across migration).
@@ -538,13 +540,7 @@ impl PodImage {
         let mut w = ImageWriter::new();
         w.u32(MAGIC);
         w.u16(VERSION);
-        match self.base_epoch {
-            Some(e) => {
-                w.bool(true);
-                w.u64(e);
-            }
-            None => w.bool(false),
-        }
+        w.u8(FULL_IMAGE);
         w.str(&self.name);
         w.u32(self.ip.to_bits());
         match self.mac_mode {
@@ -610,7 +606,10 @@ impl PodImage {
         if version != VERSION {
             return Err(ImageError::BadVersion(version));
         }
-        let base_epoch = if r.bool()? { Some(r.u64()?) } else { None };
+        match r.u8()? {
+            FULL_IMAGE => {}
+            t => return Err(ImageError::BadTag(t)),
+        }
         let name = r.str()?;
         let ip = IpAddr::from_bits(r.u32()?);
         let mac_mode = match r.u8()? {
@@ -666,7 +665,6 @@ impl PodImage {
             procs.push(decode_proc(&mut r)?);
         }
         Ok(PodImage {
-            base_epoch,
             name,
             ip,
             mac_mode,
@@ -695,39 +693,6 @@ impl PodImage {
             .flat_map(|g| g.pages.iter())
             .map(|(_, data)| data.len() as u64)
             .sum()
-    }
-
-    /// Applies an incremental `delta` on top of this (full) image,
-    /// producing the full image the delta represents: every small object
-    /// (processes, sockets, pipes, semaphores, shared memory, identity)
-    /// comes from the delta; private pages are the base's overlaid with the
-    /// delta's dirty pages.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::BadTag`] (reused as a structural-mismatch signal) if
-    /// the delta's thread-group count differs from the base's — incremental
-    /// chains are only valid while the group structure is stable.
-    pub fn apply_delta(&self, delta: &PodImage) -> Result<PodImage, ImageError> {
-        if delta.groups.len() != self.groups.len() {
-            return Err(ImageError::BadTag(0xfe));
-        }
-        let mut merged = delta.clone();
-        merged.base_epoch = None;
-        for (gi, group) in merged.groups.iter_mut().enumerate() {
-            let mut pages: std::collections::BTreeMap<u64, Vec<u8>> =
-                self.groups[gi].pages.iter().cloned().collect();
-            for (addr, data) in &delta.groups[gi].pages {
-                pages.insert(*addr, data.clone());
-            }
-            // Drop pages that fell entirely to zero: they are demand-zero
-            // again and need no image entry.
-            group.pages = pages
-                .into_iter()
-                .filter(|(_, d)| d.iter().any(|&b| b != 0))
-                .collect();
-        }
-        Ok(merged)
     }
 }
 
@@ -1064,7 +1029,6 @@ mod tests {
 
     fn sample_image() -> PodImage {
         PodImage {
-            base_epoch: Some(41),
             name: "pod0".into(),
             ip: IpAddr::from_octets([10, 0, 0, 50]),
             mac_mode: MacMode::SharedPhysical {
@@ -1201,18 +1165,43 @@ mod tests {
         assert!(PodImage::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
+    /// Re-seals `body` with a valid trailing checksum, so a test input
+    /// reaches the structural decoder instead of failing the checksum.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
     #[test]
-    fn bad_magic_detected() {
-        let img = sample_image();
+    fn bad_header_detected() {
         let mut w = ImageWriter::new();
         w.u32(0xdeadbeef);
-        let mut bytes = w.finish();
-        let _ = img;
         assert!(matches!(
-            PodImage::decode(&bytes),
+            PodImage::decode(&w.finish()),
             Err(ImageError::BadMagic(0xdeadbeef))
         ));
-        bytes.clear();
+        // An image of the retired incremental format: kind byte 1 and a
+        // base epoch after the version. Checksum-valid, still refused.
+        let full = sample_image().encode();
+        let body = &full[..full.len() - 8];
+        let mut delta = body[..6].to_vec();
+        delta.push(1);
+        delta.extend_from_slice(&41u64.to_le_bytes());
+        delta.extend_from_slice(&body[7..]);
+        assert_eq!(PodImage::decode(&sealed(delta)), Err(ImageError::BadTag(1)));
+    }
+
+    #[test]
+    fn max_length_prefix_is_truncated_not_a_panic() {
+        // Pinned input: magic `CRZ1`, version 1, kind 0, then a pod-name
+        // length prefix of u64::MAX. `pos + n` used to overflow here and
+        // panic on the slice index.
+        let body = vec![
+            0x31, 0x5a, 0x52, 0x43, 0x01, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0xff,
+        ];
+        assert_eq!(PodImage::decode(&sealed(body)), Err(ImageError::Truncated));
     }
 
     #[test]
@@ -1255,37 +1244,6 @@ mod tests {
         assert_eq!(back.snd_una, snap.snd_una);
         assert_eq!(back.inflight, snap.inflight);
         assert!(back.recv_stream.is_empty());
-    }
-
-    #[test]
-    fn apply_delta_overlays_pages_and_takes_delta_objects() {
-        let mut base = sample_image();
-        base.base_epoch = None;
-        base.groups[0].pages = vec![(0x1000, vec![1; 4096]), (0x2000, vec![2; 4096])];
-        let mut delta = base.clone();
-        delta.base_epoch = Some(1);
-        delta.next_vpid = 99;
-        delta.groups[0].pages = vec![(0x2000, vec![9; 4096]), (0x3000, vec![3; 4096])];
-        let merged = base.apply_delta(&delta).unwrap();
-        assert_eq!(merged.base_epoch, None);
-        assert_eq!(merged.next_vpid, 99, "small state comes from the delta");
-        assert_eq!(
-            merged.groups[0].pages,
-            vec![
-                (0x1000, vec![1; 4096]),
-                (0x2000, vec![9; 4096]),
-                (0x3000, vec![3; 4096])
-            ]
-        );
-        // A page zeroed in the delta disappears from the merged image.
-        let mut zeroing = delta.clone();
-        zeroing.groups[0].pages = vec![(0x1000, vec![0; 4096])];
-        let merged = base.apply_delta(&zeroing).unwrap();
-        assert_eq!(merged.groups[0].pages, vec![(0x2000, vec![2; 4096])]);
-        // Structural mismatch is rejected.
-        let mut bad = delta.clone();
-        bad.groups.clear();
-        assert!(base.apply_delta(&bad).is_err());
     }
 
     #[test]

@@ -283,7 +283,7 @@ impl Zap {
         pod: PodId,
         now: SimTime,
     ) -> Result<PodImage, ZapError> {
-        let (image, _, _) = self.capture_pod(kernel, pod, now, None, false)?;
+        let (image, _, _) = self.capture_pod(kernel, pod, now, false)?;
         Ok(image)
     }
 
@@ -302,30 +302,8 @@ impl Zap {
         pod: PodId,
         now: SimTime,
     ) -> Result<(PodImage, Vec<BTreeSet<u64>>), ZapError> {
-        let (image, _, dirty) = self.capture_pod(kernel, pod, now, None, false)?;
+        let (image, _, dirty) = self.capture_pod(kernel, pod, now, false)?;
         Ok((image, dirty))
-    }
-
-    /// Like [`Zap::checkpoint_pod`], but when `base_epoch` is given the
-    /// image is *incremental*: it carries only the private pages dirtied
-    /// since the previous checkpoint (full or incremental) of this pod,
-    /// plus the full (small) kernel-object state. Restore such an image by
-    /// folding the chain with [`PodImage::apply_delta`]. Every checkpoint —
-    /// full or incremental — resets the dirty tracking, so chains compose:
-    /// full(e1) → delta(e2, base e1) → delta(e3, base e2).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Zap::checkpoint_pod`].
-    pub fn checkpoint_pod_incremental(
-        &self,
-        kernel: &mut Kernel,
-        pod: PodId,
-        now: SimTime,
-        base_epoch: u64,
-    ) -> Result<PodImage, ZapError> {
-        let (image, _, _) = self.capture_pod(kernel, pod, now, Some(base_epoch), false)?;
-        Ok(image)
     }
 
     /// The **arm** half of a copy-on-write checkpoint: freezes the pod,
@@ -347,15 +325,12 @@ impl Zap {
         kernel: &mut Kernel,
         pod: PodId,
         now: SimTime,
-        base_epoch: Option<u64>,
     ) -> Result<ArmedPodCheckpoint, ZapError> {
-        let (skeleton, spaces, dirty_at_arm) =
-            self.capture_pod(kernel, pod, now, base_epoch, true)?;
+        let (skeleton, spaces, dirty_at_arm) = self.capture_pod(kernel, pod, now, true)?;
         Ok(ArmedPodCheckpoint {
             skeleton,
             spaces,
             dirty_at_arm,
-            incremental: base_epoch.is_some(),
         })
     }
 
@@ -370,7 +345,6 @@ impl Zap {
         kernel: &mut Kernel,
         pod: PodId,
         now: SimTime,
-        base_epoch: Option<u64>,
         arm: bool,
     ) -> Result<(PodImage, Vec<Rc<RefCell<AddressSpace>>>, Vec<BTreeSet<u64>>), ZapError> {
         self.stop_pod(kernel, pod, now)?;
@@ -444,20 +418,16 @@ impl Zap {
             }
             group_dirty.push(mem.dirty_set().clone());
             let pages: Vec<(u64, Vec<u8>)> = if arm {
-                // COW: no page copied here — the snapshot (which records
-                // the dirty set for incremental drains) stands in for them.
+                // COW: no page copied here — the snapshot stands in for
+                // them.
                 mem.cow_arm();
                 Vec::new()
-            } else if base_epoch.is_some() {
-                mem.dirty_pages()
-                    .map(|(addr, data)| (addr, data.to_vec()))
-                    .collect()
             } else {
                 mem.nonzero_pages()
                     .map(|(addr, data)| (addr, data.to_vec()))
                     .collect()
             };
-            // Either kind of checkpoint re-baselines the dirty set.
+            // Every capture re-baselines the dirty set.
             mem.clear_dirty();
             drop(mem);
             if arm {
@@ -572,7 +542,6 @@ impl Zap {
 
         Ok((
             PodImage {
-                base_epoch,
                 name: p.cfg.name.clone(),
                 ip: p.cfg.ip,
                 mac_mode: p.cfg.mac_mode,
@@ -726,8 +695,8 @@ impl Zap {
             for (addr, data) in &g.pages {
                 space.install_page(*addr, data);
             }
-            // A restored space equals its image: incremental checkpoints
-            // after a restart start from a clean dirty set.
+            // A restored space equals its image: the first capture after
+            // a restart starts from a clean dirty set.
             space.clear_dirty();
             let mut fds = FdTable::new();
             for (fd, di) in &g.fds {
@@ -850,8 +819,6 @@ pub struct ArmedPodCheckpoint {
     /// the snapshots also re-baselined dirty tracking), aligned with
     /// `skeleton.groups`.
     dirty_at_arm: Vec<BTreeSet<u64>>,
-    /// Whether the drain emits the dirty-at-arm page set (incremental).
-    incremental: bool,
 }
 
 impl ArmedPodCheckpoint {
@@ -872,7 +839,7 @@ impl ArmedPodCheckpoint {
     pub fn pending_page_bytes(&self) -> u64 {
         self.spaces
             .iter()
-            .map(|s| s.borrow().cow_pending_bytes(self.incremental))
+            .map(|s| s.borrow().cow_pending_bytes())
             .sum()
     }
 
@@ -902,11 +869,7 @@ impl ArmedPodCheckpoint {
         let mut copied = 0;
         for (group, space) in image.groups.iter_mut().zip(&self.spaces) {
             let mut mem = space.borrow_mut();
-            group.pages = if self.incremental {
-                mem.cow_snapshot_dirty_pages()
-            } else {
-                mem.cow_snapshot_pages()
-            };
+            group.pages = mem.cow_snapshot_pages();
             copied += mem.cow_disarm();
         }
         (image, copied, self.dirty_at_arm)

@@ -534,114 +534,6 @@ fn checkpoint_preserves_zombies_for_waitpid() {
     assert_eq!(zombie_code(&k2, &z2, pod2, vpid), Some(44));
 }
 
-/// A program with a large (rarely-touched) resident array and a small hot
-/// page, for incremental-checkpoint tests: phase 1 bumps a counter, then a
-/// long sleep (checkpoint window), then more bumps and exit(counter).
-fn counter_program(big_bytes: usize) -> Program {
-    let counter = DATA_BASE as i64;
-    let mut a = Asm::new(CODE_BASE);
-    // counter = 5
-    a.movi(R6, counter);
-    a.movi(R7, 5);
-    a.st(R6, R7, 0);
-    a.sys1(nr::SLEEP, 10_000_000); // full checkpoint lands here
-                                   // counter += 2  (dirties exactly one data page)
-    a.movi(R6, counter);
-    a.ld(R7, R6, 0);
-    a.addi(R7, R7, 2);
-    a.st(R6, R7, 0);
-    a.sys1(nr::SLEEP, 10_000_000); // incremental checkpoint lands here
-    a.movi(R6, counter);
-    a.ld(R7, R6, 0);
-    a.addi(R7, R7, 100);
-    a.mov(R1, R7);
-    a.sys(nr::EXIT);
-    Program::from_asm(&a)
-        .unwrap()
-        .with_data(DATA_BASE, vec![0u8; 4096])
-        .with_data(0x0200_0000, vec![0x7au8; big_bytes])
-}
-
-#[test]
-fn incremental_checkpoint_chain_restores_correctly() {
-    let fs = NetFs::new();
-    let (mut k1, z1) = node(1, 1, &fs);
-    let (mut k2, z2) = node(2, 2, &fs);
-    let pod = z1.create_pod(&mut k1, pod_cfg("inc", 70)).unwrap();
-    let big = 1024 * 1024;
-    let vpid = z1
-        .spawn_in_pod(&mut k1, pod, &counter_program(big))
-        .unwrap();
-
-    // Into the first sleep: full checkpoint.
-    let mut now = SimTime::ZERO;
-    run_until(&mut k1, &mut now, 1_000_000, |k| {
-        !k.has_runnable() && k.next_timer().is_some()
-    });
-    let full = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
-    assert_eq!(full.base_epoch, None);
-    z1.resume_pod(&mut k1, pod, now).unwrap();
-
-    // Run into the second sleep: incremental checkpoint.
-    let resumed_at = now;
-    run_until(&mut k1, &mut now, 1_000_000, |k| {
-        !k.has_runnable()
-            && k.next_timer()
-                .map(|t| t > resumed_at + SimDuration::from_millis(5))
-                .unwrap_or(false)
-    });
-    let delta = z1.checkpoint_pod_incremental(&mut k1, pod, now, 1).unwrap();
-    assert_eq!(delta.base_epoch, Some(1));
-
-    // The delta is a tiny fraction of the full image: the 1 MiB array was
-    // untouched between the checkpoints.
-    let full_len = full.encoded_len();
-    let delta_len = delta.encoded_len();
-    assert!(
-        delta_len * 10 < full_len,
-        "delta {delta_len} B should be far below full {full_len} B"
-    );
-
-    // Fold the chain and restore on a different node; the program finishes
-    // with the counter evolved across BOTH checkpoints: 5 + 2 + 100.
-    let merged = full.apply_delta(&delta).unwrap();
-    z1.destroy_pod(&mut k1, pod).unwrap();
-    let pod2 = z2.restart_pod(&mut k2, &merged, now).unwrap();
-    z2.resume_pod(&mut k2, pod2, now).unwrap();
-    let mut now2 = now;
-    assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
-        zombie_code(k, &z2, pod2, vpid).is_some()
-    }));
-    assert_eq!(zombie_code(&k2, &z2, pod2, vpid), Some(107));
-}
-
-#[test]
-fn incremental_after_restore_starts_clean() {
-    // Restore marks everything clean: an incremental taken right after a
-    // restart carries (almost) nothing, not the whole address space.
-    let fs = NetFs::new();
-    let (mut k1, z1) = node(1, 1, &fs);
-    let (mut k2, z2) = node(2, 2, &fs);
-    let pod = z1.create_pod(&mut k1, pod_cfg("inc2", 71)).unwrap();
-    let _vpid = z1
-        .spawn_in_pod(&mut k1, pod, &counter_program(512 * 1024))
-        .unwrap();
-    let mut now = SimTime::ZERO;
-    run_until(&mut k1, &mut now, 1_000_000, |k| {
-        !k.has_runnable() && k.next_timer().is_some()
-    });
-    let full = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
-    z1.destroy_pod(&mut k1, pod).unwrap();
-    let pod2 = z2.restart_pod(&mut k2, &full, now).unwrap();
-    // Immediately take an incremental without resuming: nothing ran, so
-    // nothing is dirty.
-    let delta = z2
-        .checkpoint_pod_incremental(&mut k2, pod2, now, 1)
-        .unwrap();
-    let pages: usize = delta.groups.iter().map(|g| g.pages.len()).sum();
-    assert_eq!(pages, 0, "clean restore ⇒ empty delta");
-}
-
 #[test]
 fn threads_sharing_memory_survive_restart_together() {
     // A thread group (shared address space + fd table) checkpointed
@@ -1068,7 +960,7 @@ fn cow_arm_drain_matches_eager_capture() {
     assert_eq!(now1, now2, "twin kernels diverged before capture");
 
     let eager = z1.checkpoint_pod(&mut k1, pod1, now1).unwrap();
-    let armed = z2.checkpoint_pod_arm(&mut k2, pod2, now2, None).unwrap();
+    let armed = z2.checkpoint_pod_arm(&mut k2, pod2, now2).unwrap();
 
     // The arm phase hands back only the image skeleton: far smaller than the
     // full image, with the page payload still pending.
@@ -1112,7 +1004,7 @@ fn cow_arm_cancel_leaves_pod_running() {
     for _ in 0..3 {
         now += k.run_slice(now).elapsed;
     }
-    let armed = z.checkpoint_pod_arm(&mut k, pod, now, None).unwrap();
+    let armed = z.checkpoint_pod_arm(&mut k, pod, now).unwrap();
     z.resume_pod(&mut k, pod, now).unwrap();
     now += k.run_slice(now).elapsed;
     armed.cancel();

@@ -159,7 +159,6 @@ fn arb_proc() -> impl Strategy<Value = ProcImage> {
 
 fn arb_image() -> impl Strategy<Value = PodImage> {
     (
-        proptest::option::of(any::<u64>()),
         "[a-z0-9:]{1,16}",
         any::<u32>(),
         prop_oneof![
@@ -198,20 +197,7 @@ fn arb_image() -> impl Strategy<Value = PodImage> {
         proptest::collection::vec(arb_proc(), 0..4),
     )
         .prop_map(
-            |(
-                base_epoch,
-                name,
-                ip,
-                mac_mode,
-                next_vpid,
-                shm,
-                sems,
-                pipes,
-                sockets,
-                groups,
-                procs,
-            )| PodImage {
-                base_epoch,
+            |(name, ip, mac_mode, next_vpid, shm, sems, pipes, sockets, groups, procs)| PodImage {
                 name,
                 ip: IpAddr::from_bits(ip),
                 mac_mode,

@@ -2,9 +2,9 @@
 //! (`cruz::parpool`): every pooled path must be *extensionally identical*
 //! to the serial reference path at every thread count.
 //!
-//! * pooled `prepare_chunked` vs the verbatim `threads == 1` legacy loop,
-//!   across arbitrary payloads, cut layouts, chunk sizes and codec
-//!   settings;
+//! * `prepare_chunked` at every width (one worker included) vs the serial
+//!   reference loop kept below as test code, across arbitrary payloads,
+//!   cut layouts, chunk sizes and codec settings;
 //! * pooled restore (`get_image`) vs serial reassembly, including images
 //!   persisted by a pooled prepare and read back serially (and vice
 //!   versa — the store bytes are width-independent, so any combination
@@ -20,14 +20,19 @@
 use cruz_repro::cluster::{
     ClusterParams, JobSpec, PodSpec, StoreConfig as ClusterStoreConfig, World,
 };
+use std::collections::BTreeSet;
+
+use cruz_repro::cruz::chunk::{self, ChunkId};
 use cruz_repro::cruz::pagecache::{DigestCache, PageHint};
 use cruz_repro::cruz::proto::ProtocolMode;
-use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
+use cruz_repro::cruz::store::{
+    CheckpointStore, PreparedPut, StoreConfig, MANIFEST_MAGIC, STORE_VERSION,
+};
 use cruz_repro::des::SimDuration;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
 use cruz_repro::simos::fs::NetFs;
 use cruz_repro::workloads::pingpong::PingPongConfig;
-use cruz_repro::zap::image::MacMode;
+use cruz_repro::zap::image::{ImageWriter, MacMode};
 use proptest::prelude::*;
 
 /// The pooled widths every twin-path case checks against the serial oracle.
@@ -50,6 +55,46 @@ fn cuts_from(recipe: &[(usize, usize)], total: usize) -> Vec<(usize, usize)> {
     cuts
 }
 
+/// The serial reference prepare, kept as the oracle: per range, a fresh
+/// `ChunkId::of` and a fresh-allocation `encode_chunk` on the calling
+/// thread (no zero-page shortcut, no scratch codec, no pool), with the
+/// manifest and the novelty accounting written out by hand against the
+/// store's live files. Returns `(manifest, novel chunks, bytes to disk)`.
+fn reference_prepare(
+    fs: &NetFs,
+    store: &CheckpointStore,
+    raw: &[u8],
+    cuts: &[(usize, usize)],
+    cfg: &StoreConfig,
+) -> (Vec<u8>, usize, u64) {
+    let ranges = chunk::split_ranges(raw.len(), cuts, cfg.chunk_bytes);
+    let mut mw = ImageWriter::new();
+    mw.u32(MANIFEST_MAGIC);
+    mw.u16(STORE_VERSION);
+    mw.u64(raw.len() as u64);
+    mw.u32(ranges.len() as u32);
+    let mut seen = BTreeSet::new();
+    let (mut novel, mut novel_bytes) = (0, 0u64);
+    for (start, len) in ranges {
+        let seg = &raw[start..start + len];
+        let id = ChunkId::of(seg);
+        let stored = chunk::encode_chunk(seg, cfg.compress);
+        let path = store.chunk_path(id);
+        let stored_len = fs.len_of(&path).unwrap_or(stored.len() as u64);
+        mw.u64(id.0);
+        mw.u64(id.1);
+        mw.u32(len as u32);
+        mw.u32(stored_len as u32);
+        if seen.insert(id) && !fs.exists(&path) {
+            novel += 1;
+            novel_bytes += stored.len() as u64;
+        }
+    }
+    let manifest = mw.finish();
+    let new_bytes = novel_bytes + manifest.len() as u64;
+    (manifest, novel, new_bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -69,13 +114,13 @@ proptest! {
         let serial_cfg = StoreConfig { chunk_bytes, dedup: true, compress, threads: 1, replicas: 1 };
         let fs = NetFs::new();
         let store = CheckpointStore::new(fs.clone(), "j");
-        let serial = store.prepare_chunked(&data, &cuts, &serial_cfg);
-        for &t in WIDTHS {
+        let (manifest, novel, new_bytes) = reference_prepare(&fs, &store, &data, &cuts, &serial_cfg);
+        for t in std::iter::once(1).chain(WIDTHS.iter().copied()) {
             let cfg = StoreConfig { threads: t, ..serial_cfg };
             let pooled = store.prepare_chunked(&data, &cuts, &cfg);
-            prop_assert_eq!(pooled.manifest(), serial.manifest(), "manifest at threads={}", t);
-            prop_assert_eq!(pooled.novel_count(), serial.novel_count());
-            prop_assert_eq!(pooled.new_bytes(), serial.new_bytes());
+            prop_assert_eq!(pooled.manifest(), &manifest[..], "manifest at threads={}", t);
+            prop_assert_eq!(pooled.novel_count(), novel);
+            prop_assert_eq!(pooled.new_bytes(), new_bytes);
         }
         // Persist through an arbitrary width, read back through every
         // width: store bytes and reconstruction are width-independent.
@@ -148,7 +193,6 @@ proptest! {
         let pages = 6;
         let widths = [1usize, 2, 4, 8];
         let fs = NetFs::new();
-        let reference_store = CheckpointStore::new(fs.clone(), "reference");
         let mut lanes: Vec<(StoreConfig, CheckpointStore, DigestCache)> = widths
             .iter()
             .map(|&t| {
@@ -183,16 +227,18 @@ proptest! {
             raw.extend_from_slice(&[0x77; 9]);
             let cuts: Vec<(usize, usize)> = hints.iter().map(|h| (h.offset, h.len)).collect();
 
-            let serial_cfg = StoreConfig { chunk_bytes, dedup: true, compress, threads: 1, replicas: 1 };
-            let reference = reference_store.prepare_chunked(&raw, &cuts, &serial_cfg);
+            // Every lane holds the same store state (their manifests were
+            // equal every earlier epoch), so the first lane's is the
+            // reference's.
+            let (manifest, novel, _) = reference_prepare(&fs, &lanes[0].1, &raw, &cuts, &lanes[0].0);
             let mut counts: Option<(u64, u64)> = None;
             for (cfg, store, cache) in lanes.iter_mut() {
                 let hinted = store.prepare_chunked_hinted(&raw, &hints, cfg, "pod", cache);
                 prop_assert_eq!(
-                    hinted.manifest(), reference.manifest(),
+                    hinted.manifest(), &manifest[..],
                     "manifest at threads={} epoch={}", cfg.threads, epoch
                 );
-                prop_assert_eq!(hinted.novel_count(), reference.novel_count());
+                prop_assert_eq!(hinted.novel_count(), novel);
                 store.put_prepared("pod", epoch as u64, PreparedPut::Chunked(hinted));
                 let got = (cache.hits(), cache.misses());
                 match counts {
@@ -203,7 +249,6 @@ proptest! {
                     ),
                 }
             }
-            reference_store.put_prepared("pod", epoch as u64, PreparedPut::Chunked(reference));
             // Every lane reconstructs the exact image it persisted.
             for (cfg, store, _) in lanes.iter() {
                 let round = store.get_image("pod", epoch as u64);

@@ -63,7 +63,14 @@ fn apply_step(rs: &ReplicatedStore, cfg: &StoreConfig, next_epoch: &mut u64, fil
             *next_epoch += 1;
         }
         1 => {
-            rs.put_prepared("pod0", *next_epoch, PreparedPut::Plain(image(fill, 700)));
+            // A second image shape: 700 bytes, chunks stored uncompressed.
+            let raw = image(fill, 700);
+            let raw_cfg = StoreConfig {
+                compress: false,
+                ..cfg.clone()
+            };
+            let prep = rs.prepare_chunked(&raw, &[], &raw_cfg);
+            rs.put_prepared("pod0", *next_epoch, PreparedPut::Chunked(prep));
             rs.commit(*next_epoch);
             *next_epoch += 1;
         }
