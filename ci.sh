@@ -13,25 +13,27 @@
 #                         the perfbench package's own suite (it builds
 #                         against the crates' public API, so an API
 #                         change that breaks the benchmark fails here)
-#   6. bench smoke      — `--quick` runs of the store-ablation,
+#   6. examples smoke   — all four examples run to completion (each
+#                         asserts its own story, so a broken one fails)
+#   7. bench smoke      — `--quick` runs of the store-ablation,
 #                         Fig 5(a), COW-downtime and recovery binaries
 #                         (their asserts are the check)
-#   7. hotpath smoke    — ref/opt micro-bench pairs must agree
+#   8. hotpath smoke    — ref/opt micro-bench pairs must agree
 #                         byte-for-byte, hit the speedup floors, and the
 #                         image digests pinned in the cow/recovery JSON
 #                         must be untouched by the optimization pass
-#   8. parallel smoke   — pooled capture/restore at threads 1/2/4/8 must
+#   9. parallel smoke   — pooled capture/restore at threads 1/2/4/8 must
 #                         produce byte-identical manifests, store files
 #                         and restored images (the serial path is the
 #                         oracle), and the pinned image digests must
 #                         survive the pool too
-#   9. replication smoke— kill k-1 of k replica stores mid-checkpoint;
+#  10. replication smoke— kill k-1 of k replica stores mid-checkpoint;
 #                         the job must heal with byte-identical rollback
 #                         images and write amplification tracking k
-#  10. chaos smoke      — replays three pinned fault-plan seeds and
+#  11. chaos smoke      — replays three pinned fault-plan seeds and
 #                         demands byte-identical event traces, then the
 #                         same for three pinned replica-kill plans at k=3
-#  11. loopback smoke   — the twin-runtime demo: the full checkpoint →
+#  12. loopback smoke   — the twin-runtime demo: the full checkpoint →
 #                         kill-node → recover → restore cycle over real
 #                         loopback UDP sockets must restore the exact
 #                         bytes the simulated run pins (the bin prints
@@ -69,6 +71,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q -p cluster
 echo "== cargo test"
 cargo test --offline --workspace -q
 cargo test --offline --manifest-path perfbench/Cargo.toml
+
+echo "== examples smoke"
+for example in quickstart maintenance_migration fault_tolerance grid_suspend_resume; do
+    cargo run --offline -q --release --example "$example"
+done
 
 echo "== bench smoke (--quick)"
 cargo run --offline -q --release -p bench --bin store_dedup -- --quick

@@ -263,7 +263,8 @@ impl World {
         self.digest_caches.remove(job);
         // Tear down surviving pods first (restart-in-place, or rolling a
         // live job back to an earlier epoch): their addresses must be free
-        // before the restore recreates them.
+        // before the restore recreates them. A pod its node's Zap no longer
+        // holds (evicted after a suspend) has nothing left to tear down.
         let survivors: Vec<(usize, zap::pod::PodId)> = self
             .jobs
             .get(job)
@@ -272,7 +273,8 @@ impl World {
             .iter()
             .filter_map(|p| {
                 let pod_id = p.pod_id?;
-                self.nodes[p.node].alive.then_some((p.node, pod_id))
+                let node = &self.nodes[p.node];
+                (node.alive && node.zap.pod_ids().contains(&pod_id)).then_some((p.node, pod_id))
             })
             .collect();
         for (node, pod_id) in survivors {

@@ -474,6 +474,36 @@ fn rollback_in_place_replaces_live_pods() {
 }
 
 #[test]
+fn suspend_evict_and_resume_in_place() {
+    // The grid scenario: checkpoint, evict the pods (their nodes stay up
+    // and serve other tenants), then resume on the same nodes. The restart
+    // must not try to tear down the pods the eviction already destroyed.
+    let mut w = World::new(3, ClusterParams::default());
+    let (spec, _) = pingpong_job(600, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let ck = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(ck, 10_000_000));
+    for node in [0usize, 1] {
+        let zap = w.zap(node);
+        for pod in zap.pod_ids() {
+            zap.destroy_pod(w.kernel_mut(node), pod).unwrap();
+        }
+        w.kick_node(node);
+    }
+    w.run_for(SimDuration::from_millis(50));
+    let rs = w
+        .start_restart("pp", ck, &[], ProtocolMode::Blocking)
+        .expect("resume after eviction");
+    assert!(w.run_until_op(rs, 10_000_000), "resume completes");
+    assert!(w.run_until_pred(50_000_000, |w| w.job_finished("pp")));
+    assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
+    assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+}
+
+#[test]
 fn cow_capture_shrinks_freeze_to_arm_window() {
     // The tentpole claim: with CkptCaptureMode::Cow the per-epoch pod freeze
     // is O(arm + non-memory state) instead of O(image bytes), while the

@@ -161,12 +161,7 @@ impl Cpu {
             return Ok(StepOutcome::Halted);
         }
         let pc = self.pc;
-        let mut raw = [0u8; 16];
-        mem.load(pc, &mut raw)?;
-        let inst = Inst::decode(&raw).map_err(|e| CpuFault::BadInstruction {
-            pc,
-            opcode: e.opcode,
-        })?;
+        let inst = mem.fetch(pc)?;
         let next = pc + INST_SIZE;
         self.pc = next;
         match inst {

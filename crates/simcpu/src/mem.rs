@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use crate::cpu::CpuFault;
+use crate::isa::Inst;
+
 /// A faulting guest memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemFault {
@@ -43,6 +46,20 @@ pub trait Memory {
     /// Returns [`MemFault`] if any byte of the range is not writable.
     fn store(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault>;
 
+    /// Fetches and decodes the instruction at `pc`.
+    ///
+    /// The default loads the 16 encoded bytes and decodes them on every
+    /// call; it is the reference an implementation that caches decoded
+    /// instructions must agree with, fault for fault.
+    ///
+    /// # Errors
+    ///
+    /// [`CpuFault::Mem`] if the bytes are not readable,
+    /// [`CpuFault::BadInstruction`] if they do not decode.
+    fn fetch(&mut self, pc: u64) -> Result<Inst, CpuFault> {
+        load_and_decode(self, pc)
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
@@ -82,6 +99,22 @@ pub trait Memory {
     fn store_u8(&mut self, addr: u64, value: u8) -> Result<(), MemFault> {
         self.store(addr, &[value])
     }
+}
+
+/// The reference instruction fetch: loads the 16 bytes at `pc` and
+/// decodes them. [`Memory::fetch`]'s default body, and the fallback of any
+/// override for the accesses its fast path does not serve.
+///
+/// # Errors
+///
+/// As [`Memory::fetch`].
+pub fn load_and_decode<M: Memory + ?Sized>(mem: &mut M, pc: u64) -> Result<Inst, CpuFault> {
+    let mut raw = [0u8; 16];
+    mem.load(pc, &mut raw)?;
+    Inst::decode(&raw).map_err(|e| CpuFault::BadInstruction {
+        pc,
+        opcode: e.opcode,
+    })
 }
 
 /// A simple contiguous memory starting at address zero.

@@ -3,16 +3,58 @@
 //! The address space is the bulk of a checkpoint image. As in the paper,
 //! only the non-zero pages are saved: untouched demand-zero pages cost
 //! nothing on disk and are recreated implicitly at restore.
+//!
+//! The address space is also what the guest CPU executes against, so
+//! fetch, load and store are the interpreter's hot path. An access that
+//! stays inside one page finds its area and its page through remembered
+//! indices, with no allocation and no map lookup when the hints hit.
+//! Aligned fetches from private pages are served from a per-page table of
+//! decoded instructions. The tables and the hints are host-side derived
+//! state: they are never captured, encoded or digested, and any write into
+//! a page drops that page's table.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
-use simcpu::mem::{MemFault, Memory};
+use simcpu::cpu::CpuFault;
+use simcpu::isa::{Inst, INST_SIZE};
+use simcpu::mem::{load_and_decode, MemFault, Memory};
 
 /// Page size in bytes.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Decoded-instruction slots per page: one per 16-byte-aligned `pc`.
+const SLOTS: usize = (PAGE_SIZE / INST_SIZE) as usize;
+
+/// Hint slots: fetches and data accesses keep separate hints, so an
+/// instruction stream touching data does not evict its own text page.
+const FETCH: usize = 0;
+const DATA: usize = 1;
+
+/// Where the last access of one kind landed: indices into
+/// `AddressSpace::areas` and `AddressSpace::frames`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hint {
+    area: usize,
+    frame: usize,
+}
+
+/// One resident private page.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Page-aligned address, which also validates a frame hint.
+    addr: u64,
+    bytes: Box<[u8]>,
+    /// Written since the last [`AddressSpace::clear_dirty`].
+    dirty: bool,
+    /// Instructions decoded from `bytes`, one slot per aligned `pc`,
+    /// filled on first fetch; undecodable bytes are never stored. Dropped
+    /// by every write ([`AddressSpace::page_mut`]).
+    decoded: Option<Box<[Option<Inst>; SLOTS]>>,
+}
 
 /// What backs a mapped area.
 #[derive(Debug, Clone)]
@@ -94,13 +136,17 @@ impl VmArea {
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     areas: Vec<VmArea>,
-    /// Private pages, keyed by page-aligned address.
-    pages: BTreeMap<u64, Box<[u8]>>,
-    /// Pages written since the last [`AddressSpace::clear_dirty`] — the
-    /// book-keeping the checkpoint store's page-digest cache consumes.
-    dirty: std::collections::BTreeSet<u64>,
+    /// Private pages, in no particular order; indexed by `pages`.
+    frames: Vec<Page>,
+    /// Index into `frames` by page-aligned address, in address order.
+    pages: BTreeMap<u64, usize>,
     /// An armed copy-on-write snapshot, if a checkpoint drain is pending.
     cow: Option<CowSnapshot>,
+    /// The last fetch ([`FETCH`]) and the last data access ([`DATA`]).
+    /// Only hints: every use re-checks the area with [`VmArea::contains`]
+    /// and the frame by its address, so `map`, `unmap` and a frame moved
+    /// by `unmap` can never leave one stale.
+    hint: [Hint; 2],
 }
 
 /// The state of one armed copy-on-write snapshot: everything needed to
@@ -206,7 +252,12 @@ impl AddressSpace {
             .collect();
         for k in keys {
             self.cow_preserve(k);
-            self.pages.remove(&k);
+            if let Some(i) = self.pages.remove(&k) {
+                self.frames.swap_remove(i);
+                if let Some(moved) = self.frames.get(i) {
+                    self.pages.insert(moved.addr, i);
+                }
+            }
         }
         true
     }
@@ -225,14 +276,15 @@ impl AddressSpace {
     /// skipping pages that are entirely zero — the checkpoint's page set.
     pub fn nonzero_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
         self.pages
-            .iter()
-            .filter(|(_, p)| p.iter().any(|&b| b != 0))
-            .map(|(&a, p)| (a, &p[..]))
+            .values()
+            .map(|&i| &self.frames[i])
+            .filter(|p| p.bytes.iter().any(|&b| b != 0))
+            .map(|p| (p.addr, &p.bytes[..]))
     }
 
     /// Number of resident private pages (zero or not).
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
     }
 
     /// Installs page contents directly (used by program loading and restore).
@@ -244,28 +296,32 @@ impl AddressSpace {
     pub fn install_page(&mut self, page_addr: u64, data: &[u8]) {
         assert_eq!(page_addr % PAGE_SIZE, 0, "page address must be aligned");
         assert!(data.len() <= PAGE_SIZE as usize, "page data too long");
-        self.cow_preserve(page_addr);
-        let mut page = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+        let page = self.page_mut(page_addr);
         page[..data.len()].copy_from_slice(data);
-        self.pages.insert(page_addr, page);
-        self.dirty.insert(page_addr);
+        page[data.len()..].fill(0);
     }
 
     /// Number of dirty pages.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.frames.iter().filter(|p| p.dirty).count()
     }
 
-    /// Addresses of the pages written since the last
+    /// Addresses of the resident pages written since the last
     /// [`AddressSpace::clear_dirty`] — the set the capture path's
     /// page-digest cache keys its clean-page reuse on.
-    pub fn dirty_set(&self) -> &std::collections::BTreeSet<u64> {
-        &self.dirty
+    pub fn dirty_set(&self) -> BTreeSet<u64> {
+        self.frames
+            .iter()
+            .filter(|p| p.dirty)
+            .map(|p| p.addr)
+            .collect()
     }
 
     /// Resets dirty tracking (called when a checkpoint captures the space).
     pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        for page in &mut self.frames {
+            page.dirty = false;
+        }
     }
 
     /// Bulk-writes `data` at `addr` ignoring area bounds checks per byte
@@ -338,7 +394,7 @@ impl AddressSpace {
         match snap.preserved.get(&addr) {
             Some(Some(pre)) => Some(&pre[..]),
             Some(None) => None, // not resident at arm time
-            None => self.pages.get(&addr).map(|p| &p[..]),
+            None => self.pages.get(&addr).map(|&i| &self.frames[i].bytes[..]),
         }
     }
 
@@ -397,106 +453,228 @@ impl AddressSpace {
         if snap.preserved.contains_key(&page_addr) {
             return; // already preserved by an earlier write
         }
-        let pre = self.pages.get(&page_addr).cloned();
+        let pre = self
+            .pages
+            .get(&page_addr)
+            .map(|&i| self.frames[i].bytes.clone());
         if pre.is_some() {
             snap.copied_bytes += PAGE_SIZE;
         }
         snap.preserved.insert(page_addr, pre);
     }
 
-    fn page_of(&mut self, page_addr: u64) -> &mut Box<[u8]> {
-        self.pages
-            .entry(page_addr)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// The private page at `page_addr` for writing, created demand-zero.
+    /// Every write into a private page goes through here, so none can skip
+    /// what a write implies: the COW pre-image is preserved, the dirty bit
+    /// is set and the page's decoded instructions are dropped.
+    #[inline]
+    fn page_mut(&mut self, page_addr: u64) -> &mut [u8] {
+        self.cow_preserve(page_addr);
+        let i = match self.frame_index(page_addr, DATA) {
+            Some(i) => i,
+            None => {
+                self.frames.push(Page {
+                    addr: page_addr,
+                    bytes: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+                    dirty: false,
+                    decoded: None,
+                });
+                self.pages.insert(page_addr, self.frames.len() - 1);
+                self.frames.len() - 1
+            }
+        };
+        let page = &mut self.frames[i];
+        page.dirty = true;
+        page.decoded = None;
+        &mut page.bytes
     }
 
-    /// Performs an access of `len` bytes at `addr`, calling `f` for each
-    /// (area-validated) page-chunk.
+    /// The index of the area containing `addr`, trying the `kind` hint
+    /// before scanning.
+    #[inline]
+    fn area_index(&mut self, addr: u64, kind: usize) -> Option<usize> {
+        let hint = self.hint[kind].area;
+        if self.areas.get(hint).is_some_and(|a| a.contains(addr)) {
+            return Some(hint);
+        }
+        let i = self.areas.iter().position(|a| a.contains(addr))?;
+        self.hint[kind].area = i;
+        Some(i)
+    }
+
+    /// The frame of the resident page at `page_addr`, trying the `kind`
+    /// hint before the index.
+    #[inline]
+    fn frame_index(&mut self, page_addr: u64, kind: usize) -> Option<usize> {
+        let hint = self.hint[kind].frame;
+        if self.frames.get(hint).is_some_and(|p| p.addr == page_addr) {
+            return Some(hint);
+        }
+        let i = *self.pages.get(&page_addr)?;
+        self.hint[kind].frame = i;
+        Some(i)
+    }
+
+    /// The area of a mapped access of `len` bytes at `addr` that stays
+    /// inside one page, and so inside one area (areas are page aligned).
+    /// `None` for a multi-page or unmapped access.
+    #[inline]
+    fn single_page(&mut self, addr: u64, len: usize, kind: usize) -> Option<usize> {
+        if len as u64 > PAGE_SIZE - (addr & (PAGE_SIZE - 1)) {
+            return None;
+        }
+        self.area_index(addr, kind)
+    }
+
+    /// Copies the bytes at `a`, inside area `i` and one page, into `out`.
+    #[inline]
+    fn read_piece(&mut self, i: usize, a: u64, out: &mut [u8]) {
+        let area = &self.areas[i];
+        match &area.backing {
+            AreaBacking::Private => {
+                let page_addr = a & !(PAGE_SIZE - 1);
+                match self.frame_index(page_addr, DATA) {
+                    Some(f) => {
+                        let off = (a - page_addr) as usize;
+                        out.copy_from_slice(&self.frames[f].bytes[off..off + out.len()]);
+                    }
+                    None => out.fill(0), // demand-zero
+                }
+            }
+            AreaBacking::Shared(seg) => {
+                // The mapping is rounded up to whole pages; bytes past the
+                // segment's end read as zero.
+                let data = seg.data.borrow();
+                let rel = ((a - area.start) as usize).min(data.len());
+                let take = out.len().min(data.len() - rel);
+                out[..take].copy_from_slice(&data[rel..rel + take]);
+                out[take..].fill(0);
+            }
+        }
+    }
+
+    /// Copies `src` to `a`, inside area `i` and one page.
+    #[inline]
+    fn write_piece(&mut self, i: usize, a: u64, src: &[u8]) {
+        let area = &self.areas[i];
+        if let AreaBacking::Shared(seg) = &area.backing {
+            // Writes past the segment's end are dropped.
+            let mut data = seg.data.borrow_mut();
+            let rel = ((a - area.start) as usize).min(data.len());
+            let take = src.len().min(data.len() - rel);
+            data[rel..rel + take].copy_from_slice(&src[..take]);
+            return;
+        }
+        let page_addr = a & !(PAGE_SIZE - 1);
+        let off = (a - page_addr) as usize;
+        self.page_mut(page_addr)[off..off + src.len()].copy_from_slice(src);
+    }
+
+    /// Performs an access of `len` bytes at `addr` that may span pages and
+    /// areas. The whole range is validated first, so a faulting access has
+    /// no partial effect; then `f(space, area index, address, range of the
+    /// caller's buffer)` runs once per page piece.
     fn walk<F>(&mut self, addr: u64, len: usize, write: bool, mut f: F) -> Result<(), MemFault>
     where
-        F: FnMut(&mut AddressSpace, u64, usize, usize),
+        F: FnMut(&mut AddressSpace, usize, u64, Range<usize>),
     {
-        if len == 0 {
-            return Ok(());
-        }
-        // Validate the whole range against areas first.
-        let mut cursor = addr;
         let end = addr
             .checked_add(len as u64)
             .ok_or(MemFault { addr, write })?;
+        let mut cursor = addr;
         while cursor < end {
-            let area = self.area_for(cursor).ok_or(MemFault {
+            let i = self.area_index(cursor, DATA).ok_or(MemFault {
                 addr: cursor,
                 write,
             })?;
-            cursor = area.end().min(end);
+            cursor = self.areas[i].end().min(end);
         }
-        // Then perform page-wise.
         let mut off = 0usize;
         while off < len {
             let a = addr + off as u64;
-            let page_addr = a & !(PAGE_SIZE - 1);
-            let in_page = (a - page_addr) as usize;
-            let chunk = ((PAGE_SIZE as usize) - in_page).min(len - off);
-            f(self, a, off, chunk);
+            let chunk = ((PAGE_SIZE - (a & (PAGE_SIZE - 1))) as usize).min(len - off);
+            let i = self.area_index(a, DATA).expect("range validated above");
+            f(self, i, a, off..off + chunk);
             off += chunk;
         }
         Ok(())
     }
+
+    /// The decoded-instruction cache: an aligned fetch from a resident
+    /// private page decodes its slot once and is served from the table
+    /// after that. `None` sends the fetch down the reference path, which is
+    /// how unaligned `pc`s, demand-zero pages and undecodable bytes are
+    /// handled, and how shared-segment code stays uncached (another process
+    /// can rewrite it through its own mapping).
+    #[inline]
+    fn fetch_cached(&mut self, pc: u64) -> Option<Inst> {
+        // An aligned instruction never straddles a page.
+        if !pc.is_multiple_of(INST_SIZE) {
+            return None;
+        }
+        let i = self.area_index(pc, FETCH)?;
+        if !matches!(self.areas[i].backing, AreaBacking::Private) {
+            return None;
+        }
+        let page_addr = pc & !(PAGE_SIZE - 1);
+        let f = self.frame_index(page_addr, FETCH)?;
+        let slot = ((pc - page_addr) / INST_SIZE) as usize;
+        let page = &mut self.frames[f];
+        if let Some(inst) = page.decoded.as_ref().and_then(|t| t[slot]) {
+            return Some(inst);
+        }
+        page.decode_slot(slot)
+    }
+}
+
+impl Page {
+    /// Decodes one instruction slot into the page's table, creating the
+    /// table on the page's first fetch. `None` for undecodable bytes,
+    /// which are never stored.
+    #[cold]
+    fn decode_slot(&mut self, slot: usize) -> Option<Inst> {
+        let off = slot * INST_SIZE as usize;
+        let raw = self.bytes[off..off + INST_SIZE as usize]
+            .try_into()
+            .expect("16 bytes");
+        let inst = Inst::decode(raw).ok()?;
+        self.decoded.get_or_insert_with(|| Box::new([None; SLOTS]))[slot] = Some(inst);
+        Some(inst)
+    }
 }
 
 impl Memory for AddressSpace {
+    #[inline]
     fn load(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
-        // Straight into `buf`, with no temporary: this runs on every
-        // instruction fetch, and a per-fetch allocation takes the
-        // allocator's locked path once the process has started any thread
-        // (the store's worker pool does).
-        self.walk(addr, buf.len(), false, |space, a, off, chunk| {
-            let out = &mut buf[off..off + chunk];
-            let area = space.area_for(a).expect("validated").clone();
-            match &area.backing {
-                AreaBacking::Private => {
-                    let page_addr = a & !(PAGE_SIZE - 1);
-                    match space.pages.get(&page_addr) {
-                        Some(page) => {
-                            let in_page = (a - page_addr) as usize;
-                            out.copy_from_slice(&page[in_page..in_page + chunk]);
-                        }
-                        None => out.fill(0), // demand-zero
-                    }
-                }
-                AreaBacking::Shared(seg) => {
-                    let data = seg.data.borrow();
-                    let rel = (a - area.start) as usize;
-                    let take = chunk.min(data.len().saturating_sub(rel));
-                    out[..take].copy_from_slice(&data[rel..rel + take]);
-                    out[take..].fill(0);
-                }
-            }
+        // Straight into `buf`, with no temporary: a per-access allocation
+        // takes the allocator's locked path once the process has started
+        // any thread (the store's worker pool does).
+        if let Some(i) = self.single_page(addr, buf.len(), DATA) {
+            self.read_piece(i, addr, buf);
+            return Ok(());
+        }
+        self.walk(addr, buf.len(), false, |space, i, a, r| {
+            space.read_piece(i, a, &mut buf[r]);
         })
     }
 
+    #[inline]
     fn store(&mut self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
-        let owned: Vec<u8> = data.to_vec();
-        self.walk(addr, data.len(), true, |space, a, off, chunk| {
-            let area = space.area_for(a).expect("validated").clone();
-            match &area.backing {
-                AreaBacking::Private => {
-                    let page_addr = a & !(PAGE_SIZE - 1);
-                    let in_page = (a - page_addr) as usize;
-                    space.cow_preserve(page_addr);
-                    let page = space.page_of(page_addr);
-                    page[in_page..in_page + chunk].copy_from_slice(&owned[off..off + chunk]);
-                    space.dirty.insert(page_addr);
-                }
-                AreaBacking::Shared(seg) => {
-                    let mut d = seg.data.borrow_mut();
-                    let rel = (a - area.start) as usize;
-                    let take = chunk.min(d.len().saturating_sub(rel));
-                    d[rel..rel + take].copy_from_slice(&owned[off..off + take]);
-                }
-            }
+        if let Some(i) = self.single_page(addr, data.len(), DATA) {
+            self.write_piece(i, addr, data);
+            return Ok(());
+        }
+        self.walk(addr, data.len(), true, |space, i, a, r| {
+            space.write_piece(i, a, &data[r]);
         })
+    }
+
+    #[inline]
+    fn fetch(&mut self, pc: u64) -> Result<Inst, CpuFault> {
+        match self.fetch_cached(pc) {
+            Some(inst) => Ok(inst),
+            None => load_and_decode(self, pc),
+        }
     }
 }
 
@@ -613,6 +791,20 @@ mod tests {
         assert_eq!(b.load_u64(0x20008).unwrap(), 777);
     }
 
+    #[test]
+    fn shared_mapping_past_the_segment_end_reads_zero() {
+        // The mapping is rounded up to a page; the bytes past a 100-byte
+        // segment read as zero and writes there are dropped.
+        let seg = SharedSeg::new(1, 100);
+        let mut s = AddressSpace::new();
+        s.map_shared(0x10000, seg.clone(), "shm").unwrap();
+        s.store_u64(0x10000 + 96, u64::MAX).unwrap();
+        assert_eq!(s.load_u64(0x10000 + 96).unwrap(), 0xffff_ffff);
+        s.store_u64(0x10000 + 200, 7).unwrap();
+        assert_eq!(s.load_u64(0x10000 + 200).unwrap(), 0);
+        assert_eq!(seg.len(), 100);
+    }
+
     /// The snapshot drained from an armed space must equal an eager capture
     /// of the same instant, whatever happened in between.
     fn assert_snapshot_matches(space: &AddressSpace, frozen: &AddressSpace) {
@@ -691,5 +883,148 @@ mod tests {
         assert_eq!(s.load_u8(0x1000).unwrap(), 1);
         assert_eq!(s.load_u8(0x1002).unwrap(), 3);
         assert_eq!(s.load_u8(0x1003).unwrap(), 0);
+    }
+
+    // ---- the decoded-instruction cache ----------------------------------
+
+    use simcpu::asm::Asm;
+    use simcpu::cpu::{Cpu, CpuFault, StepOutcome};
+    use simcpu::isa::{Inst, R1, R2};
+    use simcpu::mem::FlatMem;
+
+    const TEXT: u64 = 0x1_0000;
+
+    /// `movi r1, v; halt` — position independent, so it runs at any base.
+    fn set_r1(v: i64) -> Vec<u8> {
+        let mut a = Asm::new(0);
+        a.movi(R1, v);
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    /// Runs from `entry` to `halt` and returns r1.
+    fn run_r1(space: &mut AddressSpace, entry: u64) -> u64 {
+        let mut cpu = Cpu::new(entry);
+        let (_, out) = cpu.run(space, 100).unwrap();
+        assert_eq!(out, StepOutcome::Halted);
+        cpu.reg(R1)
+    }
+
+    fn text_space(pages: u64) -> AddressSpace {
+        let mut s = AddressSpace::new();
+        s.map(TEXT, pages * PAGE_SIZE, "text").unwrap();
+        s
+    }
+
+    #[test]
+    fn store_into_executed_text_runs_the_new_code() {
+        let mut s = text_space(2);
+        s.write_bytes(TEXT, &set_r1(1)).unwrap();
+        assert_eq!(run_r1(&mut s, TEXT), 1);
+        // One-page store: patch the immediate (bytes 4..12) in place.
+        s.store_u64(TEXT + 4, 2).unwrap();
+        assert_eq!(run_r1(&mut s, TEXT), 2);
+        // Multi-page store: the instruction starting the second page is
+        // rewritten by a write that begins on the first.
+        let second = TEXT + PAGE_SIZE;
+        s.write_bytes(second, &set_r1(3)).unwrap();
+        assert_eq!(run_r1(&mut s, second), 3);
+        let mut patch = vec![0u8; 8];
+        patch.extend_from_slice(&Inst::Movi { rd: R1, imm: 4 }.encode()[..8]);
+        s.write_bytes(second - 8, &patch).unwrap();
+        assert_eq!(run_r1(&mut s, second), 4);
+    }
+
+    #[test]
+    fn install_page_over_text_runs_the_new_code() {
+        let mut s = text_space(1);
+        s.install_page(TEXT, &set_r1(1));
+        assert_eq!(run_r1(&mut s, TEXT), 1);
+        s.install_page(TEXT, &set_r1(2));
+        assert_eq!(run_r1(&mut s, TEXT), 2);
+    }
+
+    #[test]
+    fn unmap_and_remap_of_text_drops_its_code() {
+        let mut s = text_space(1);
+        s.write_bytes(TEXT, &set_r1(1)).unwrap();
+        assert_eq!(run_r1(&mut s, TEXT), 1);
+        assert!(s.unmap(TEXT));
+        let err = Cpu::new(TEXT).step(&mut s).unwrap_err();
+        assert!(matches!(err, CpuFault::Mem(MemFault { addr: TEXT, .. })));
+        s.map(TEXT, PAGE_SIZE, "text").unwrap();
+        // Demand-zero text decodes as `halt`: nothing of the old code runs.
+        assert_eq!(run_r1(&mut s, TEXT), 0);
+        s.write_bytes(TEXT, &set_r1(2)).unwrap();
+        assert_eq!(run_r1(&mut s, TEXT), 2);
+    }
+
+    #[test]
+    fn cow_armed_store_into_text_keeps_the_pre_image() {
+        let mut s = text_space(1);
+        s.write_bytes(TEXT, &set_r1(1)).unwrap();
+        assert_eq!(run_r1(&mut s, TEXT), 1);
+        let frozen = s.clone();
+        s.cow_arm();
+        s.write_bytes(TEXT, &set_r1(2)).unwrap();
+        assert_eq!(run_r1(&mut s, TEXT), 2, "the CPU runs the new code");
+        assert_snapshot_matches(&s, &frozen);
+    }
+
+    /// `len` bytes of `movi r1, 99`: decodable filler, so a fetch from the
+    /// wrong offset runs something and shows.
+    fn filler(len: u64) -> Vec<u8> {
+        let inst = Inst::Movi { rd: R1, imm: 99 }.encode();
+        inst.iter().copied().cycle().take(len as usize).collect()
+    }
+
+    /// Runs the same bytes on `FlatMem` (the reference `fetch`) and on an
+    /// address space mapping the same range; returns both CPUs.
+    fn run_both(code: &[u8], entry: u64) -> (Cpu, Cpu) {
+        let mut flat = FlatMem::new((TEXT + 2 * PAGE_SIZE) as usize);
+        flat.store(TEXT, code).unwrap();
+        let mut s = text_space(2);
+        s.write_bytes(TEXT, code).unwrap();
+        let (mut a, mut b) = (Cpu::new(entry), Cpu::new(entry));
+        assert_eq!(a.run(&mut flat, 100), b.run(&mut s, 100));
+        (a, b)
+    }
+
+    #[test]
+    fn unaligned_jmpr_target_matches_the_reference() {
+        let target = TEXT + 0x100 + 3;
+        let mut a = Asm::new(TEXT);
+        a.movi(R2, target as i64);
+        a.jmp_r(R2);
+        let mut code = a.assemble().unwrap();
+        code.extend(filler(target - TEXT - code.len() as u64));
+        code.extend_from_slice(&set_r1(5));
+        let (flat, space) = run_both(&code, TEXT);
+        assert_eq!(space.reg(R1), 5);
+        assert!(space.is_halted());
+        assert_eq!(flat, space);
+    }
+
+    #[test]
+    fn instruction_straddling_two_pages_matches_the_reference() {
+        let entry = TEXT + PAGE_SIZE - 8;
+        let mut code = filler(entry - TEXT);
+        code.extend_from_slice(&set_r1(6));
+        let (flat, space) = run_both(&code, entry);
+        assert_eq!(space.reg(R1), 6);
+        assert_eq!(flat, space);
+    }
+
+    #[test]
+    fn shared_code_rewritten_through_another_attachment_runs_new_code() {
+        let seg = SharedSeg::new(1, PAGE_SIZE as usize);
+        let mut runner = AddressSpace::new();
+        let mut writer = AddressSpace::new();
+        runner.map_shared(TEXT, seg.clone(), "shm").unwrap();
+        writer.map_shared(0x8_0000, seg, "shm").unwrap();
+        writer.write_bytes(0x8_0000, &set_r1(1)).unwrap();
+        assert_eq!(run_r1(&mut runner, TEXT), 1);
+        writer.write_bytes(0x8_0000, &set_r1(2)).unwrap();
+        assert_eq!(run_r1(&mut runner, TEXT), 2);
     }
 }

@@ -210,6 +210,16 @@ impl<'a> ImageReader<'a> {
         Ok(self.u8()? != 0)
     }
 
+    /// Reads a `u32` record count and an empty vector for the records.
+    /// The reservation is clamped to what the bytes left can hold at
+    /// `min_len` bytes per record, so a hostile count cannot force a huge
+    /// allocation; the records themselves still fail `Truncated`.
+    fn counted<T>(&mut self, min_len: usize) -> Result<(u32, Vec<T>), ImageError> {
+        let n = self.u32()?;
+        let fits = (self.data.len() - self.pos) / min_len;
+        Ok((n, Vec::with_capacity(fits.min(n as usize))))
+    }
+
     /// True if all bytes were consumed.
     pub fn at_end(&self) -> bool {
         self.pos == self.data.len()
@@ -621,27 +631,23 @@ impl PodImage {
         };
         let next_vpid = r.u32()?;
 
-        let n = r.u32()?;
-        let mut shm = Vec::with_capacity(n as usize);
+        let (n, mut shm) = r.counted(16)?;
         for _ in 0..n {
             shm.push(ShmImage {
                 key: r.u64()?,
                 data: r.bytes()?,
             });
         }
-        let n = r.u32()?;
-        let mut sems = Vec::with_capacity(n as usize);
+        let (n, mut sems) = r.counted(12)?;
         for _ in 0..n {
             let key = r.u64()?;
-            let m = r.u32()?;
-            let mut values = Vec::with_capacity(m as usize);
+            let (m, mut values) = r.counted(8)?;
             for _ in 0..m {
                 values.push(r.i64()?);
             }
             sems.push(SemImage { key, values });
         }
-        let n = r.u32()?;
-        let mut pipes = Vec::with_capacity(n as usize);
+        let (n, mut pipes) = r.counted(16)?;
         for _ in 0..n {
             pipes.push(PipeImage {
                 data: r.bytes()?,
@@ -649,18 +655,15 @@ impl PodImage {
                 writers: r.u32()?,
             });
         }
-        let n = r.u32()?;
-        let mut sockets = Vec::with_capacity(n as usize);
+        let (n, mut sockets) = r.counted(2)?;
         for _ in 0..n {
             sockets.push(decode_sock(&mut r)?);
         }
-        let n = r.u32()?;
-        let mut groups = Vec::with_capacity(n as usize);
+        let (n, mut groups) = r.counted(12)?;
         for _ in 0..n {
             groups.push(decode_group(&mut r)?);
         }
-        let n = r.u32()?;
-        let mut procs = Vec::with_capacity(n as usize);
+        let (n, mut procs) = r.counted(155)?;
         for _ in 0..n {
             procs.push(decode_proc(&mut r)?);
         }
@@ -789,8 +792,7 @@ fn decode_conn(r: &mut ImageReader<'_>) -> Result<TcpConnImage, ImageError> {
     let peer_window = r.u32()?;
     let nodelay = r.bool()?;
     let cork = r.bool()?;
-    let n = r.u32()?;
-    let mut inflight = Vec::with_capacity(n as usize);
+    let (n, mut inflight) = r.counted(8)?;
     for _ in 0..n {
         inflight.push(r.bytes()?);
     }
@@ -814,8 +816,7 @@ fn decode_sock(r: &mut ImageReader<'_>) -> Result<SockImage, ImageError> {
         0 => {
             let local = read_sockaddr(r)?;
             let backlog = r.u32()?;
-            let n = r.u32()?;
-            let mut pending = Vec::with_capacity(n as usize);
+            let (n, mut pending) = r.counted(47)?;
             for _ in 0..n {
                 let snap = decode_conn(r)?;
                 pending.push((snap, r.bytes()?));
@@ -837,8 +838,7 @@ fn decode_sock(r: &mut ImageReader<'_>) -> Result<SockImage, ImageError> {
             } else {
                 None
             };
-            let n = r.u32()?;
-            let mut queue = Vec::with_capacity(n as usize);
+            let (n, mut queue) = r.counted(14)?;
             for _ in 0..n {
                 let from = read_sockaddr(r)?;
                 queue.push((from, r.bytes()?));
@@ -901,8 +901,7 @@ fn encode_group(w: &mut ImageWriter, g: &GroupImage, cuts: &mut Vec<(usize, usiz
 }
 
 fn decode_group(r: &mut ImageReader<'_>) -> Result<GroupImage, ImageError> {
-    let n = r.u32()?;
-    let mut areas = Vec::with_capacity(n as usize);
+    let (n, mut areas) = r.counted(25)?;
     for _ in 0..n {
         let start = r.u64()?;
         let len = r.u64()?;
@@ -915,14 +914,12 @@ fn decode_group(r: &mut ImageReader<'_>) -> Result<GroupImage, ImageError> {
             shm_index,
         });
     }
-    let n = r.u32()?;
-    let mut pages = Vec::with_capacity(n as usize);
+    let (n, mut pages) = r.counted(16)?;
     for _ in 0..n {
         let addr = r.u64()?;
         pages.push((addr, r.bytes()?));
     }
-    let n = r.u32()?;
-    let mut fds = Vec::with_capacity(n as usize);
+    let (n, mut fds) = r.counted(5)?;
     for _ in 0..n {
         let fd = r.u32()?;
         let d = match r.u8()? {
@@ -1005,8 +1002,7 @@ fn decode_proc(r: &mut ImageReader<'_>) -> Result<ProcImage, ImageError> {
         2 => RunStateImage::Zombie(r.u64()?),
         t => return Err(ImageError::BadTag(t)),
     };
-    let n = r.u32()?;
-    let mut console = Vec::with_capacity(n as usize);
+    let (n, mut console) = r.counted(8)?;
     for _ in 0..n {
         console.push(r.str()?);
     }

@@ -416,7 +416,7 @@ impl Zap {
                     shm_index,
                 });
             }
-            group_dirty.push(mem.dirty_set().clone());
+            group_dirty.push(mem.dirty_set());
             let pages: Vec<(u64, Vec<u8>)> = if arm {
                 // COW: no page copied here — the snapshot stands in for
                 // them.
