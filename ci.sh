@@ -29,7 +29,9 @@
 #                         survive the pool too
 #  10. replication smoke— kill k-1 of k replica stores mid-checkpoint;
 #                         the job must heal with byte-identical rollback
-#                         images and write amplification tracking k
+#                         images and write amplification tracking k, and
+#                         the rewritten BENCH_replication.json must match
+#                         the committed one byte for byte
 #  11. chaos smoke      — replays three pinned fault-plan seeds and
 #                         demands byte-identical event traces, then the
 #                         same for three pinned replica-kill plans at k=3
@@ -97,6 +99,10 @@ cargo run --offline -q --release -p bench --bin bench_parallel -- --quick
 
 echo "== replication smoke (--quick)"
 cargo run --offline -q --release -p bench --bin bench_replication -- --quick
+# Every figure in BENCH_replication.json is modelled (sim time, byte
+# counts, digests), so a re-run must rewrite it byte-identically: a
+# change to the replicated store's bytes cannot pass silently.
+git diff --exit-code -- BENCH_replication.json
 
 echo "== chaos smoke (pinned fault-plan replay)"
 cargo run --offline -q --release -p bench --bin chaos

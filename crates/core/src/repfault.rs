@@ -277,9 +277,19 @@ impl<'a> Cur<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
+    /// A `u32`-length-prefixed byte string, borrowed in place.
+    pub(crate) fn slice(&mut self) -> Option<&'a [u8]> {
         let n = self.u32()? as usize;
-        Some(self.take(n)?.to_vec())
+        self.take(n)
+    }
+
+    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
+        Some(self.slice()?.to_vec())
+    }
+
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.b.len() - self.i
     }
 
     pub(crate) fn string(&mut self) -> Option<String> {

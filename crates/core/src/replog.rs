@@ -19,9 +19,10 @@
 //! * **Scrub/repair** — [`ReplicatedStore::scrub_and_repair`] elects a
 //!   reference replica by `(newest committed epoch in the log, log
 //!   length)` — commit history first, so a freshly compacted log outranks
-//!   a stale replica's longer one — rebuilds it canonically (wipe +
-//!   replay its own log), and rebuilds every
-//!   diverging or dead replica the same way from the reference log.
+//!   a stale replica's longer one — replays the reference's valid log
+//!   prefix from empty into a scratch tree once, and reconciles every
+//!   replica (the reference included) to that target: stale files
+//!   removed, differing files rewritten, the log reset to the prefix.
 //!   Replay-from-empty is the one true constructor of replica state, so
 //!   convergence is byte-exact by construction, and a replica that died
 //!   mid-append (a *torn log*: valid prefix + garbage tail) is revived
@@ -47,6 +48,7 @@
 //! invalid byte — exactly the semantics a torn append needs.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use simos::fs::NetFs;
 
@@ -86,8 +88,9 @@ pub enum LogOp {
         manifest: Vec<u8>,
         /// The image root (the epoch's digest sidecar).
         image: ChunkId,
-        /// Novel chunk bodies: `(content address, encoded container)`.
-        blobs: Vec<(ChunkId, Vec<u8>)>,
+        /// Novel chunk bodies: `(content address, encoded container)`,
+        /// shared with the prepared write rather than copied out of it.
+        blobs: Vec<(ChunkId, Arc<[u8]>)>,
     },
     /// A commit-record write for an epoch.
     Commit {
@@ -119,8 +122,16 @@ impl LogOp {
         }
     }
 
-    fn encode_payload(&self) -> (u8, Vec<u8>) {
-        let mut w = Vec::new();
+    /// Applies this op to a store tree — the one apply path behind the
+    /// live fan-out, the compaction and scrub target build, and any replay
+    /// of a log. Returns the GC reclaim count for [`LogOp::Gc`], `0`
+    /// otherwise.
+    pub fn apply(&self, store: &CheckpointStore) -> usize {
+        apply_op(store, self, None)
+    }
+
+    /// Appends the op's payload to `w`; returns its record tag.
+    fn encode_payload(&self, w: &mut Vec<u8>) -> u8 {
         match self {
             LogOp::PutChunked {
                 pod,
@@ -129,31 +140,31 @@ impl LogOp {
                 image,
                 blobs,
             } => {
-                put_str(&mut w, pod);
+                put_str(w, pod);
                 w.extend_from_slice(&epoch.to_le_bytes());
-                put_bytes(&mut w, manifest);
+                put_bytes(w, manifest);
                 w.extend_from_slice(&image.0.to_le_bytes());
                 w.extend_from_slice(&image.1.to_le_bytes());
                 w.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
                 for (id, body) in blobs {
                     w.extend_from_slice(&id.0.to_le_bytes());
                     w.extend_from_slice(&id.1.to_le_bytes());
-                    put_bytes(&mut w, body);
+                    put_bytes(w, body);
                 }
-                (1, w)
+                1
             }
             LogOp::Commit { epoch } => {
                 w.extend_from_slice(&epoch.to_le_bytes());
-                (2, w)
+                2
             }
             LogOp::Discard { epoch } => {
                 w.extend_from_slice(&epoch.to_le_bytes());
-                (3, w)
+                3
             }
-            LogOp::Gc => (4, w),
+            LogOp::Gc => 4,
             LogOp::Prune { keep } => {
                 w.extend_from_slice(&keep.to_le_bytes());
-                (5, w)
+                5
             }
         }
     }
@@ -167,10 +178,12 @@ impl LogOp {
                 let manifest = c.bytes()?;
                 let image = ChunkId(c.u64()?, c.u64()?);
                 let n = c.u32()?;
-                let mut blobs = Vec::with_capacity(n as usize);
+                // A blob is at least its id and length prefix (20 bytes):
+                // reserve no more than the payload left can hold.
+                let mut blobs = Vec::with_capacity((n as usize).min(c.remaining() / 20));
                 for _ in 0..n {
                     let id = ChunkId(c.u64()?, c.u64()?);
-                    blobs.push((id, c.bytes()?));
+                    blobs.push((id, Arc::from(c.slice()?)));
                 }
                 LogOp::PutChunked {
                     pod,
@@ -206,52 +219,53 @@ fn log_header() -> Vec<u8> {
     h
 }
 
-fn encode_record(op: &LogOp) -> Vec<u8> {
-    let (tag, payload) = op.encode_payload();
-    let mut rec = Vec::with_capacity(payload.len() + 13);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.push(tag);
-    rec.extend_from_slice(&payload);
-    let h = digest::fold(digest::fold(digest::OFFSET, &[tag]), &payload);
-    rec.extend_from_slice(&h.to_le_bytes());
+/// Appends `op`'s whole `CRZL` record to `out`.
+fn encode_record_into(out: &mut Vec<u8>, op: &LogOp) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 5]);
+    let tag = op.encode_payload(out);
+    let len = (out.len() - start - 5) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4] = tag;
+    let h = digest::fold(digest::OFFSET, &out[start + 4..]);
+    out.extend_from_slice(&h.to_le_bytes());
+}
+
+/// Encodes one op as a whole `CRZL` record. A logical op is encoded once
+/// and the same bytes go to every replica's log.
+pub fn encode_record(op: &LogOp) -> Vec<u8> {
+    let mut rec = Vec::new();
+    encode_record_into(&mut rec, op);
     rec
 }
 
-/// Appends one op to the `CRZL` log at `path`, creating the file (with
-/// its header) on first use.
-pub fn append_record(fs: &NetFs, path: &str, op: &LogOp) {
-    if !fs.exists(path) {
-        fs.write_file(path, log_header());
-    }
-    fs.append_file(path, &encode_record(op));
-}
-
-/// Appends only the first `frac`/256 of the record's bytes — a log append
-/// torn by a mid-write crash. The valid-prefix reader will stop at the
+/// The first `frac`/256 of an encoded record — what a log append torn by
+/// a mid-write crash leaves behind. The valid-prefix reader stops at the
 /// record boundary before the tear.
-pub fn append_torn_record(fs: &NetFs, path: &str, op: &LogOp, frac: u8) {
+pub fn torn_prefix(rec: &[u8], frac: u8) -> &[u8] {
+    &rec[..rec.len() * frac as usize / 256]
+}
+
+/// Appends encoded record bytes — whole records, or a [`torn_prefix`] of
+/// one — to the `CRZL` log at `path`, creating the file (with its header)
+/// on first use.
+pub fn append_record(fs: &NetFs, path: &str, bytes: &[u8]) {
     if !fs.exists(path) {
         fs.write_file(path, log_header());
     }
-    let rec = encode_record(op);
-    let keep = rec.len() * frac as usize / 256;
-    fs.append_file(path, &rec[..keep]);
+    fs.append_file(path, bytes);
 }
 
-/// Reads the longest valid prefix of the log at `path`: the decoded ops
-/// and the byte length of that prefix (header included). A missing file,
-/// bad header, torn tail or checksum mismatch terminates the scan at the
-/// last whole record.
-pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
-    let Some(bytes) = fs.read_file(path) else {
+/// Walks the longest valid prefix of `CRZL` log bytes, handing each
+/// whole, checksum-valid record's tag and payload to `decode`; a bad
+/// header, torn tail, checksum mismatch or record `decode` rejects ends
+/// the prefix. Returns the decoded records and the prefix's byte length
+/// (header included; `0` for a bad header).
+fn scan_log<T>(bytes: &[u8], mut decode: impl FnMut(u8, &[u8]) -> Option<T>) -> (Vec<T>, u64) {
+    let Some(mut c) = after_header(bytes) else {
         return (Vec::new(), 0);
     };
-    let mut c = Cur::new(&bytes);
-    let hdr = (|| Some((c.u32()?, c.u16()?)))();
-    if hdr != Some((REPLOG_MAGIC, REPLOG_VERSION)) {
-        return (Vec::new(), 0);
-    }
-    let mut ops = Vec::new();
+    let mut out = Vec::new();
     let mut valid = c.i as u64;
     loop {
         let rec = (|| {
@@ -262,17 +276,68 @@ pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
             if c.u64()? != want {
                 return None;
             }
-            LogOp::decode_payload(tag, payload)
+            decode(tag, payload)
         })();
         match rec {
-            Some(op) => {
-                ops.push(op);
+            Some(x) => {
+                out.push(x);
                 valid = c.i as u64;
             }
             None => break,
         }
     }
-    (ops, valid)
+    (out, valid)
+}
+
+/// Reads the longest valid prefix of the log at `path`: the decoded ops
+/// and the byte length of that prefix (header included). A missing file,
+/// bad header, torn tail or checksum mismatch terminates the scan at the
+/// last whole record.
+pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
+    fs.with_file(path, |bytes| scan_log(bytes, LogOp::decode_payload))
+        .unwrap_or_default()
+}
+
+/// A cursor just past the `CRZL` header of `bytes`, if it has one.
+fn after_header(bytes: &[u8]) -> Option<Cur<'_>> {
+    let mut c = Cur::new(bytes);
+    (c.u32()? == REPLOG_MAGIC && c.u16()? == REPLOG_VERSION).then_some(c)
+}
+
+/// `(op count, newest committed epoch or 0)` of the valid prefix of the
+/// log at `path`, decoding one record at a time without holding the ops.
+fn log_summary(fs: &NetFs, path: &str) -> (usize, u64) {
+    fs.with_file(path, |bytes| {
+        let (commits, _) = scan_log(bytes, |tag, payload| {
+            match LogOp::decode_payload(tag, payload)? {
+                LogOp::Commit { epoch } => Some(epoch),
+                _ => Some(0),
+            }
+        });
+        (commits.len(), commits.into_iter().max().unwrap_or(0))
+    })
+    .unwrap_or_default()
+}
+
+/// `(record count, byte length)` of log bytes read by their record
+/// framing alone — no checksum or payload is re-read. Exact for a live
+/// replica's log, which only ever holds whole records: a torn append
+/// takes its replica out of the live set.
+fn log_extent(bytes: &[u8]) -> (usize, u64) {
+    let Some(mut c) = after_header(bytes) else {
+        return (0, 0);
+    };
+    let mut count = 0;
+    let mut valid = c.i as u64;
+    // Each record is its length prefix, tag, payload and checksum.
+    while let Some(len) = c.u32() {
+        if c.take(len as usize + 9).is_none() {
+            break;
+        }
+        count += 1;
+        valid = c.i as u64;
+    }
+    (count, valid)
 }
 
 // ---- op application ---------------------------------------------------------
@@ -307,17 +372,14 @@ fn apply_chunked(
     epoch: u64,
     manifest: &[u8],
     image: ChunkId,
-    blobs: &[(ChunkId, Vec<u8>)],
+    blobs: &[(ChunkId, Arc<[u8]>)],
     torn: Option<u8>,
 ) {
     for (id, body) in blobs {
         let path = store.chunk_path(*id);
         if !store.fs().exists(&path) {
-            let stored = match torn {
-                None => body.clone(),
-                Some(frac) => body[..body.len() * frac as usize / 256].to_vec(),
-            };
-            store.fs().write_file(&path, stored);
+            let keep = torn.map_or(body.len(), |frac| body.len() * frac as usize / 256);
+            store.fs().write_file(&path, body[..keep].to_vec());
         }
     }
     let ids: Vec<ChunkId> = store::decode_manifest(manifest)
@@ -440,34 +502,41 @@ impl ReplicatedStore {
         self.replica(self.primary_index())
     }
 
+    /// Path prefix of replica `r`'s store tree (`<root>/ckpt/<job>/`).
+    fn tree_prefix(&self, r: usize) -> String {
+        format!("{}/ckpt/{}/", Self::replica_root(r), self.job)
+    }
+
     /// Fans one logical op out to every live replica: fault check, log
-    /// append, apply. Returns the primary's apply result (the GC count).
+    /// append, apply. The op's record is encoded once; every replica's
+    /// log gets the same bytes (a torn append, a prefix of them). Returns
+    /// the primary's apply result (the GC count).
     fn write_op(&self, op: LogOp) -> usize {
         let mut dead = read_dead(&self.fs);
         let point = op.point();
+        let rec = encode_record(&op);
         let mut out = None;
         for r in 0..self.k {
             if dead.contains(&r) {
                 continue;
             }
+            let log = self.log_path(r);
             match take_fault_effect(&self.fs, r, point) {
                 Some(ReplicaFaultKind::Crash) => {
                     dead.insert(r);
                 }
                 Some(ReplicaFaultKind::TornLog(frac)) => {
-                    append_torn_record(&self.fs, &self.log_path(r), &op, frac);
+                    append_record(&self.fs, &log, torn_prefix(&rec, frac));
                     dead.insert(r);
                 }
                 Some(ReplicaFaultKind::TornChunk(frac)) => {
-                    append_record(&self.fs, &self.log_path(r), &op);
+                    append_record(&self.fs, &log, &rec);
                     apply_op(&self.replica(r), &op, Some(frac));
                 }
                 None => {
-                    append_record(&self.fs, &self.log_path(r), &op);
+                    append_record(&self.fs, &log, &rec);
                     let n = apply_op(&self.replica(r), &op, None);
-                    if out.is_none() {
-                        out = Some(n);
-                    }
+                    out.get_or_insert(n);
                 }
             }
         }
@@ -492,7 +561,7 @@ impl ReplicatedStore {
         for ch in &c.chunks {
             let Some(stored) = &ch.stored else { continue };
             if !self.fs.exists(&primary.chunk_path(ch.id)) {
-                blobs.push((ch.id, stored.to_vec()));
+                blobs.push((ch.id, Arc::clone(stored)));
             }
         }
         self.write_op(LogOp::PutChunked {
@@ -506,8 +575,8 @@ impl ReplicatedStore {
 
     /// Applies only a torn prefix of a prepared write — a disk tear, not a
     /// store op, so it is deliberately *not* logged: replay never
-    /// resurrects the stranded bytes, and scrub's wipe+replay reclaims
-    /// them on every replica.
+    /// resurrects the stranded bytes, and the next compaction or scrub
+    /// reconciles them away on every replica.
     pub fn put_torn(&self, put: &PreparedPut, frac: u8) {
         for r in self.alive_replicas() {
             self.replica(r).put_torn(put, frac);
@@ -682,11 +751,14 @@ impl ReplicatedStore {
     /// long-running job's write amplification grows with history, not
     /// state. Compaction caps it at ≈2k (k store trees + k minimal logs);
     /// the floor is 2k rather than k because the log must keep carrying
-    /// the retained epochs' blobs — wipe + replay-from-empty is scrub's
-    /// one true constructor of replica state.
+    /// the retained epochs' blobs — replay-from-empty is scrub's one true
+    /// constructor of replica state.
     ///
-    /// Each live replica is rebuilt by wipe + replay of the synthesized
-    /// log, so the post-compaction invariant is exactly scrub's: log
+    /// The synthesized ops are replayed from empty once, into a scratch
+    /// tree, and every live replica is reconciled to that target (files
+    /// it lacks removed, differing files rewritten, the log replaced), so
+    /// each ends exactly as a wipe + replay of the synthesized log would
+    /// leave it. The post-compaction invariant is therefore scrub's: log
     /// bytes equal ⇒ trees byte-identical. Dead replicas keep their stale
     /// logs until scrub revives them; the scrub election ranks newest
     /// commit epoch above log length precisely so a freshly compacted
@@ -701,20 +773,26 @@ impl ReplicatedStore {
         let Some(&primary) = alive.first() else {
             return CompactReport::default();
         };
-        let (old_ops, old_len) = read_log(&self.fs, &self.log_path(primary));
+        let (ops_before, old_len) = self
+            .fs
+            .with_file(&self.log_path(primary), log_extent)
+            .unwrap_or_default();
         let ops = self.synthesize_ops(primary);
         let mut log = log_header();
         for op in &ops {
-            log.extend_from_slice(&encode_record(op));
+            encode_record_into(&mut log, op);
         }
+        let target = self.replay_target(&ops);
+        let ops_after = ops.len();
+        // Free the synthesized blobs before the k log copies land.
+        drop(ops);
         for &r in &alive {
-            self.wipe_replica(r);
-            self.replay_log(r, &log);
+            self.reconcile(r, &target, &log);
         }
         CompactReport {
             compacted: alive,
-            ops_before: old_ops.len(),
-            ops_after: ops.len(),
+            ops_before,
+            ops_after,
             bytes_reclaimed: old_len.saturating_sub(log.len() as u64),
         }
     }
@@ -751,7 +829,9 @@ impl ReplicatedStore {
                     if let Some((_, recs)) = store::decode_manifest(&manifest) {
                         for (id, _, _) in recs {
                             if emitted.insert(id) {
-                                if let Some(body) = self.fs.read_file(&store.chunk_path(id)) {
+                                if let Some(body) =
+                                    self.fs.with_file(&store.chunk_path(id), |b| Arc::from(b))
+                                {
                                     blobs.push((id, body));
                                 }
                             }
@@ -780,9 +860,8 @@ impl ReplicatedStore {
     /// digests hold byte-identical checkpoint state.
     pub fn tree_digest(&self, r: usize) -> u64 {
         let root = Self::replica_root(r);
-        let prefix = format!("{}/ckpt/{}/", root, self.job);
         let mut h = digest::OFFSET;
-        for path in self.fs.list(&prefix) {
+        for path in self.fs.list(&self.tree_prefix(r)) {
             let rel = path.strip_prefix(&root).unwrap_or(&path);
             h = digest::fold_u64(h, rel.len() as u64);
             h = digest::fold(h, rel.as_bytes());
@@ -793,31 +872,42 @@ impl ReplicatedStore {
         h
     }
 
-    fn wipe_replica(&self, r: usize) {
-        let root = Self::replica_root(r);
-        for path in self.fs.list(&format!("{}/ckpt/{}/", root, self.job)) {
-            self.fs.remove(&path);
+    /// Replays `ops` from empty into a scratch filesystem: the replica
+    /// tree those ops construct, built once and then reconciled onto
+    /// every replica that must hold it.
+    fn replay_target(&self, ops: &[LogOp]) -> NetFs {
+        let fs = NetFs::new();
+        let store = CheckpointStore::new(fs.clone(), self.job.clone()).with_threads(self.threads);
+        for op in ops {
+            op.apply(&store);
         }
-        self.fs.remove(&self.log_path(r));
+        fs
     }
 
-    fn replay_log(&self, r: usize, log_bytes: &[u8]) {
-        self.fs.write_file(&self.log_path(r), log_bytes.to_vec());
-        let (ops, _) = read_log(&self.fs, &self.log_path(r));
-        let store = self.replica(r);
-        for op in &ops {
-            apply_op(&store, op, None);
+    /// Brings replica `r` to exactly the `target` tree (built by
+    /// [`ReplicatedStore::replay_target`]) and the log bytes `log`,
+    /// writing only the files that differ: the state a wipe + replay of
+    /// `log` would leave. Returns true if anything changed.
+    fn reconcile(&self, r: usize, target: &NetFs, log: &[u8]) -> bool {
+        let tree = self
+            .fs
+            .mirror(&self.tree_prefix(r), target, &self.tree_prefix(0));
+        let path = self.log_path(r);
+        let stale_log = !self.fs.file_eq(&path, log);
+        if stale_log {
+            self.fs.write_file(&path, log.to_vec());
         }
+        tree || stale_log
     }
 
-    /// Compares replica logs and tree digests, elects a reference replica
-    /// by `(newest committed epoch in the valid log prefix, op count)` —
-    /// ties to the lowest index — rebuilds it canonically (wipe + replay
-    /// its own valid log prefix, which also truncates any torn tail and
-    /// reclaims unlogged stranded bytes), and rebuilds every diverging
-    /// replica from the reference log. Crashed replicas are revived:
-    /// after repair they hold the reference state and rejoin the
-    /// read/write set.
+    /// Compares replica logs and trees, elects a reference replica by
+    /// `(newest committed epoch in the valid log prefix, op count)` — ties
+    /// to the lowest index — replays its valid log prefix from empty into
+    /// a scratch target, and reconciles every replica to that target and
+    /// prefix: the reference itself (which truncates any torn tail and
+    /// reclaims unlogged stranded bytes) and each diverging replica.
+    /// Crashed replicas are revived: after repair they hold the reference
+    /// state and rejoin the read/write set.
     ///
     /// Commit history outranks raw length so that a live replica whose
     /// log was compacted (short, but current) can never lose the election
@@ -831,43 +921,27 @@ impl ReplicatedStore {
         let mut reference = 0;
         let mut best: Option<(u64, usize)> = None;
         for r in 0..self.k {
-            let (ops, _) = read_log(&self.fs, &self.log_path(r));
-            let newest_commit = ops
-                .iter()
-                .filter_map(|op| match op {
-                    LogOp::Commit { epoch } => Some(*epoch),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            let key = (newest_commit, ops.len());
+            let (count, newest_commit) = log_summary(&self.fs, &self.log_path(r));
+            let key = (newest_commit, count);
             if best.is_none_or(|b| key > b) {
                 best = Some(key);
                 reference = r;
             }
         }
-        let (_, valid) = read_log(&self.fs, &self.log_path(reference));
+        let (ops, valid) = read_log(&self.fs, &self.log_path(reference));
         let ref_log = self
             .fs
-            .read_file(&self.log_path(reference))
-            .map(|b| b[..valid as usize].to_vec())
+            .with_file(&self.log_path(reference), |b| b[..valid as usize].to_vec())
             .unwrap_or_else(log_header);
-        // Canonical rebuild of the reference itself: wipe + replay is the
-        // one true constructor, so even a reference whose *tree* was
-        // corrupted (torn chunk bodies under an intact log) converges to
-        // the state its log dictates.
-        self.wipe_replica(reference);
-        self.replay_log(reference, &ref_log);
-        let want = self.tree_digest(reference);
+        // Replay-from-empty is the one true constructor, so even a
+        // reference whose *tree* was corrupted (torn chunk bodies under an
+        // intact log) is reconciled to the state its log dictates.
+        let target = self.replay_target(&ops);
+        drop(ops);
+        self.reconcile(reference, &target, &ref_log);
         let mut repaired = Vec::new();
         for r in 0..self.k {
-            if r == reference {
-                continue;
-            }
-            let r_log = self.fs.read_file(&self.log_path(r)).unwrap_or_default();
-            if r_log != ref_log || self.tree_digest(r) != want {
-                self.wipe_replica(r);
-                self.replay_log(r, &ref_log);
+            if r != reference && self.reconcile(r, &target, &ref_log) {
                 repaired.push(r);
             }
         }
@@ -912,42 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn record_codec_round_trips_every_op() {
-        let ops = vec![
-            LogOp::PutChunked {
-                pod: "b".into(),
-                epoch: 4,
-                manifest: vec![9; 40],
-                image: ChunkId(7, 8),
-                blobs: vec![(ChunkId(1, 2), vec![5; 10]), (ChunkId(3, 4), vec![])],
-            },
-            LogOp::Commit { epoch: 4 },
-            LogOp::Discard { epoch: 3 },
-            LogOp::Gc,
-            LogOp::Prune { keep: 4 },
-        ];
-        let fs = NetFs::new();
-        for op in &ops {
-            append_record(&fs, "/replog/t.log", op);
-        }
-        let (back, valid) = read_log(&fs, "/replog/t.log");
-        assert_eq!(back, ops);
-        assert_eq!(valid, fs.len_of("/replog/t.log").unwrap());
-    }
-
-    #[test]
-    fn torn_append_keeps_only_the_valid_prefix() {
-        let fs = NetFs::new();
-        let a = LogOp::Commit { epoch: 1 };
-        let b = LogOp::Commit { epoch: 2 };
-        append_record(&fs, "/replog/t.log", &a);
-        append_torn_record(&fs, "/replog/t.log", &b, 128);
-        let (ops, valid) = read_log(&fs, "/replog/t.log");
-        assert_eq!(ops, vec![a]);
-        assert!(valid < fs.len_of("/replog/t.log").unwrap());
-    }
-
-    #[test]
     fn replicas_converge_and_replay_is_idempotent() {
         let fs = NetFs::new();
         let cfg = dedup_cfg();
@@ -963,14 +1001,12 @@ mod tests {
         let (ops, _) = read_log(&fs, &rs.log_path(1));
         let store = rs.replica(1);
         for op in &ops {
-            apply_op(&store, op, None);
+            op.apply(&store);
         }
         assert_eq!(rs.tree_digest(1), d[1]);
         // And replaying onto an empty tree reconstructs the same bytes.
-        rs.wipe_replica(2);
-        let log = fs.read_file(&rs.log_path(1)).unwrap();
-        rs.replay_log(2, &log);
-        assert_eq!(rs.tree_digest(2), d[1]);
+        let fresh = ReplicatedStore::new(rs.replay_target(&ops), "job", 3);
+        assert_eq!(fresh.tree_digest(0), d[1]);
     }
 
     #[test]
@@ -1075,10 +1111,9 @@ mod tests {
 
         // The compacted log is self-contained: replay-from-empty
         // reconstructs the same tree.
-        rs.wipe_replica(2);
-        let log = fs.read_file(&rs.log_path(0)).unwrap_or_default();
-        rs.replay_log(2, &log);
-        assert_eq!(rs.tree_digest(2), d[0]);
+        let (ops, _) = read_log(&fs, &rs.log_path(0));
+        let fresh = ReplicatedStore::new(rs.replay_target(&ops), "job", 3);
+        assert_eq!(fresh.tree_digest(0), d[0]);
 
         // And a scrub over the compacted set is a no-op.
         let scrub = rs.scrub_and_repair();

@@ -370,7 +370,7 @@ impl CheckpointStore {
         ids: impl IntoIterator<Item = ChunkId>,
     ) {
         let mpath = self.manifest_path(pod_name, epoch);
-        let fresh = self.fs.read_file(&mpath).as_deref() != Some(&manifest[..]);
+        let fresh = !self.fs.file_eq(&mpath, &manifest);
         let mut sidecar = Vec::with_capacity(16);
         sidecar.extend_from_slice(&root.0.to_le_bytes());
         sidecar.extend_from_slice(&root.1.to_le_bytes());
@@ -901,8 +901,8 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u
             return Ok(None);
         }
         let raw_len = r.u64()?;
-        let n = r.u32()?;
-        let mut recs = Vec::with_capacity(n as usize);
+        // 24 bytes per record: id (16), segment and stored lengths (4 + 4).
+        let (n, mut recs) = r.counted(24)?;
         for _ in 0..n {
             let id = ChunkId(r.u64()?, r.u64()?);
             let seg_len = r.u32()?;

@@ -214,9 +214,9 @@ impl<'a> ImageReader<'a> {
     /// The reservation is clamped to what the bytes left can hold at
     /// `min_len` bytes per record, so a hostile count cannot force a huge
     /// allocation; the records themselves still fail `Truncated`.
-    fn counted<T>(&mut self, min_len: usize) -> Result<(u32, Vec<T>), ImageError> {
+    pub fn counted<T>(&mut self, min_len: usize) -> Result<(u32, Vec<T>), ImageError> {
         let n = self.u32()?;
-        let fits = (self.data.len() - self.pos) / min_len;
+        let fits = (self.data.len() - self.pos) / min_len.max(1);
         Ok((n, Vec::with_capacity(fits.min(n as usize))))
     }
 
