@@ -35,6 +35,9 @@
 #  11. chaos smoke      — replays three pinned fault-plan seeds and
 #                         demands byte-identical event traces, then the
 #                         same for three pinned replica-kill plans at k=3
+#  11b. chaos sweep     — the same replay over 1000 unpinned (world, plan)
+#                         seed pairs; prints the first failing pair (fix
+#                         it and pin it; never shrink the sweep to pass)
 #  12. loopback smoke   — the twin-runtime demo: the full checkpoint →
 #                         kill-node → recover → restore cycle over real
 #                         loopback UDP sockets must restore the exact
@@ -107,6 +110,9 @@ git diff --exit-code -- BENCH_replication.json
 echo "== chaos smoke (pinned fault-plan replay)"
 cargo run --offline -q --release -p bench --bin chaos
 cargo run --offline -q --release -p bench --bin bench_replication -- --chaos
+
+echo "== chaos sweep (1000 unpinned fault-plan seeds)"
+cargo run --offline -q --release -p bench --bin chaos -- --sweep 1000
 
 echo "== loopback smoke (real-socket twin-runtime demo)"
 # The NetRuntime caps each cycle with a 30 s wall budget of its own, so

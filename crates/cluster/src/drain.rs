@@ -9,11 +9,10 @@
 //! `cow_copied_bytes`.
 
 use cruz::error::CruzError;
-use cruz::store::PreparedPut;
-use zap::ArmedPodCheckpoint;
 
 use crate::fault::ProtocolPoint;
-use crate::ops_agent::{prepare_image, ImageIo};
+use crate::node::{cancel, drain, prepare_image};
+use crate::ops_agent::ImageIo;
 use crate::runtime::{Deadline, Timers};
 use crate::state::World;
 
@@ -24,30 +23,15 @@ impl World {
     /// drain in the background at the [`Deadline::CkptDrain`] firing.
     pub(crate) fn begin_local_checkpoint_cow(&mut self, node: usize, op: u64) {
         let pods = self.job_pods_on_node(op, node);
-        let mut armed: Vec<(String, ArmedPodCheckpoint)> = Vec::new();
-        let mut arm_bytes: u64 = 0;
-        let mut page_bytes: u64 = 0;
-        for p in &pods {
-            let Some(pod_id) = p.pod_id else { continue };
-            let slot = &mut self.nodes[node];
-            match slot
-                .zap
-                .checkpoint_pod_arm(&mut slot.kernel, pod_id, self.now)
-            {
-                Ok(a) => {
-                    arm_bytes += a.arm_bytes();
-                    page_bytes += a.pending_page_bytes();
-                    armed.push((p.name.clone(), a));
-                }
-                Err(e) => {
-                    for (_, a) in armed {
-                        a.cancel();
-                    }
-                    self.fail_op(op, CruzError::Zap(e));
-                    return;
-                }
+        let armed = match self.nodes[node].arm(&pods, self.now) {
+            Ok(armed) => armed,
+            Err(e) => {
+                self.fail_op(op, CruzError::Zap(e));
+                return;
             }
-        }
+        };
+        let arm_bytes: u64 = armed.iter().map(|(_, a)| a.arm_bytes()).sum();
+        let page_bytes: u64 = armed.iter().map(|(_, a)| a.pending_page_bytes()).sum();
         let t_arm = self.now + self.params.extract_time(arm_bytes);
         // Arming pins the page set, so the drain length is known now even
         // though page *contents* are only materialized at the drain event —
@@ -88,37 +72,22 @@ impl World {
             // tracking without a completed prepare, so the job's remembered
             // page digests are stale.
             self.digest_caches.remove(&job);
-            for (_, a) in armed {
-                a.cancel();
-            }
+            cancel(armed);
             return;
         }
         // Fault plan: die mid-drain — pods already resumed, pages still
         // flowing to the store. The armed snapshots die with the node.
         if self.maybe_crash(node, ProtocolPoint::CowDrain) {
             self.digest_caches.remove(&job);
-            for (_, a) in armed {
-                a.cancel();
-            }
+            cancel(armed);
             return;
         }
         let store = self.store(&job);
         let mut cache = self.digest_caches.remove(&job).unwrap_or_default();
-        let mut images: Vec<(String, PreparedPut)> = Vec::new();
-        let mut copied: u64 = 0;
-        for (pod_name, a) in armed {
-            let (img, pre_copied, dirty) = a.drain_with_dirty();
-            copied += pre_copied;
-            let put = prepare_image(
-                &store,
-                &self.params.store,
-                &pod_name,
-                &img,
-                &dirty,
-                &mut cache,
-            );
-            images.push((pod_name, put));
-        }
+        let cfg = &self.params.store;
+        let (images, copied) = drain(armed, |name, img, dirty| {
+            prepare_image(&store, cfg, name, &img, &dirty, &mut cache)
+        });
         self.digest_caches.insert(job, cache);
         let durable_at = self.submit_image_io(
             node,

@@ -1,32 +1,16 @@
 //! Job specifications, placement, and the world's job-management surface
 //! (the LSF-integration analogue).
 
-use simnet::addr::IpAddr;
 use simos::proc::ProcState;
-use simos::program::Program;
-use zap::image::{MacMode, PodImage};
-use zap::pod::{PodId, Vpid};
-use zap::PodConfig;
+use zap::image::PodImage;
+use zap::pod::Vpid;
 
 use cruz::error::CruzError;
 
 use crate::runtime::{Deadline, Timers};
 use crate::state::{ClusterError, World};
 
-/// One pod of a job: where it runs and what it executes.
-#[derive(Debug, Clone)]
-pub struct PodSpec {
-    /// Pod name (unique within the job; keys checkpoint images).
-    pub name: String,
-    /// The pod's externally routable IP.
-    pub ip: IpAddr,
-    /// VIF MAC configuration.
-    pub mac_mode: MacMode,
-    /// Node index the pod initially runs on.
-    pub node: usize,
-    /// Guest programs to spawn inside the pod.
-    pub programs: Vec<Program>,
-}
+pub use crate::node::{PodPlacement, PodSpec};
 
 /// A distributed job: a set of pods plus the node hosting the coordinator.
 #[derive(Debug, Clone)]
@@ -40,20 +24,14 @@ pub struct JobSpec {
     pub coordinator_node: usize,
 }
 
-/// Live placement of one pod.
-#[derive(Debug, Clone)]
-pub struct PodPlacement {
-    /// Pod name.
-    pub name: String,
-    /// The pod's IP (stable across migration).
-    pub ip: IpAddr,
-    /// MAC configuration.
-    pub mac_mode: MacMode,
-    /// Node currently hosting the pod.
-    pub node: usize,
-    /// The pod's id on that node (`None` while not instantiated, e.g.
-    /// between crash and restart).
-    pub pod_id: Option<PodId>,
+impl JobSpec {
+    /// The distinct nodes hosting at least one pod, ascending.
+    pub fn app_nodes(&self) -> Vec<usize> {
+        let mut nodes: Vec<usize> = self.pods.iter().map(|p| p.node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
 }
 
 /// Runtime state of a launched job.
@@ -109,28 +87,11 @@ impl World {
         }
         let mut placements = Vec::new();
         for pod in &spec.pods {
-            if pod.node >= self.nodes.len() {
-                return Err(ClusterError::BadNode(pod.node));
-            }
-            let slot = &mut self.nodes[pod.node];
-            let pod_id = slot.zap.create_pod(
-                &mut slot.kernel,
-                PodConfig {
-                    name: format!("{}:{}", spec.name, pod.name),
-                    ip: pod.ip,
-                    mac_mode: pod.mac_mode,
-                },
-            )?;
-            for prog in &pod.programs {
-                slot.zap.spawn_in_pod(&mut slot.kernel, pod_id, prog)?;
-            }
-            placements.push(PodPlacement {
-                name: pod.name.clone(),
-                ip: pod.ip,
-                mac_mode: pod.mac_mode,
-                node: pod.node,
-                pod_id: Some(pod_id),
-            });
+            let slot = self
+                .nodes
+                .get_mut(pod.node)
+                .ok_or(ClusterError::BadNode(pod.node))?;
+            placements.push(slot.launch_pod(&spec.name, pod)?);
         }
         self.jobs.insert(
             spec.name.clone(),
@@ -318,7 +279,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::addr::MacAddr;
+    use simnet::addr::{IpAddr, MacAddr};
+    use zap::image::MacMode;
 
     fn runtime() -> JobRuntime {
         JobRuntime {

@@ -8,10 +8,15 @@
 //! ```text
 //!        simrt (DES oracle)          netrt (loopback UDP + OS threads)
 //!                 world (DES loop + node table)
-//!     ops ─ ops_agent ─ drain ─ heartbeat ─ recovery
+//!     ops ─ ops_agent ─ drain ─ heartbeat ─ jobs
+//!               events (DES vocabulary)
 //!              transport (CtlTransport)
-//!        runtime (CtlAddr / CtlInstant / Timers)
+//!  runtime (CtlAddr / CtlInstant / Timers) · node (shared node agent)
 //! ```
+//!
+//! Both runtimes drive the same node agent in [`node`]: `world` (through
+//! `ops_agent`/`drain`) decides *when* each node step fires, `netrt` runs
+//! each as soon as the last one finishes.
 //!
 //! * [`params`] — cluster-wide timing parameters, calibrated to the paper's
 //!   gigabit-Ethernet / 1 GHz-node / 2005-disk testbed;
@@ -19,7 +24,9 @@
 //! * [`fault`] — seeded, replayable fault plans (protocol-point crashes,
 //!   disk-write faults, control-frame drop/duplicate/reorder);
 //! * [`node`] — the base layer: one simulated node (kernel + Zap + agent)
-//!   and its control-socket handle, imported by everything above;
+//!   and everything it does for the agent — launch, fence, capture,
+//!   restore, resume, roll back — plus the job-store calls, shared by
+//!   both runtimes and imported by everything above;
 //! * [`state`] — the shared cluster state: [`state::World`]'s fields,
 //!   [`state::ClusterError`] and the installed fault plane, sitting below
 //!   the driver so the operation layers need not import upward;
@@ -31,12 +38,14 @@
 //!   of control frames over [`runtime::CtlAddr`]s, with the simulated-UDP
 //!   backend as its first implementation and the net runtime's loopback
 //!   transport as its second;
-//! * [`events`] — the sim backend's internal DES step log and the
-//!   per-event fingerprint folded into the trace digest;
+//! * [`events`] — the sim backend's event vocabulary (substrate steps plus
+//!   every armed [`runtime::Deadline`]) and the per-event fingerprint
+//!   folded into the trace digest;
 //! * [`ops`] — coordinated-operation runtime, coordinator side: install,
 //!   message flow, retry/timeout, abort, migration;
-//! * [`ops_agent`] — coordinated-operation runtime, agent side: freeze,
-//!   capture, persist, restore, resume, roll back;
+//! * [`ops_agent`] — coordinated-operation runtime, agent side: when each
+//!   node's freeze, capture, persist, restore, resume and roll back
+//!   happen in the simulator;
 //! * [`drain`] — COW capture scheduling (snapshot arm, background drain,
 //!   retroactive disk batches);
 //! * [`heartbeat`] — failure detection, the self-healing recovery pass and
@@ -47,9 +56,9 @@
 //!   above;
 //! * [`simrt`] — [`simrt::SimRuntime`]: the deterministic DES backend of
 //!   the runtime seam, byte-identical and pinned by the golden traces;
-//! * [`netrt`] — [`netrt::NetRuntime`]: the same protocol engine over
-//!   real `std::net::UdpSocket`s on loopback, one OS thread per node and
-//!   a wall clock.
+//! * [`netrt`] — [`netrt::NetRuntime`]: the same protocol engine and node
+//!   agent over real `std::net::UdpSocket`s on loopback, one OS thread per
+//!   node, a store-service thread and a wall clock.
 //!
 //! Benchmarks and examples drive a `World`; everything they measure emerges
 //! from the simulated components rather than from hard-coded results.

@@ -1,59 +1,55 @@
 //! The `std::net` backend of the runtime seam: the same protocol engine
-//! over real loopback UDP sockets, one OS thread per node, and a wall
-//! clock.
+//! and the same node agent over real loopback UDP sockets, one OS thread
+//! per node, and a wall clock.
 //!
 //! Where [`crate::simrt::SimRuntime`] drives the coordinator/agent
 //! protocol through the deterministic event queue, [`NetRuntime`] runs it
 //! the way the paper's testbed did: each node is an OS thread owning its
-//! own kernel + Zap instance, control frames are real UDP datagrams on
-//! `127.0.0.1`, failure detection is heartbeat pings against the wall
-//! clock, and checkpoint images flow over channels to a store-service
-//! thread, which puts them into the same chunk store the simulator uses.
-//! The pure state machines ([`cruz::coordinator::Coordinator`],
-//! [`cruz::agent::Agent`]) are shared with the simulator verbatim — only
-//! the carrier differs, which is the whole point of the seam.
+//! own [`Node`] (kernel + Zap + agent), control frames are real UDP
+//! datagrams on `127.0.0.1`, failure detection is heartbeat pings against
+//! the wall clock, and checkpoint images go to a store-service thread
+//! that owns the job's store. Everything a node *does* — launch, fence,
+//! capture (stop-the-world or COW arm/drain), restore, resume, roll back
+//! — and every store effect are the shared calls of [`crate::node`], the
+//! same ones the simulator makes. This module owns only the carrier:
+//! sockets ([`NetCtl`]), the clock (`NetClock`), the threads, and the
+//! coordinator's pacing and heartbeat loops.
 //!
-//! Timing here is *not* deterministic and is pinned by nothing; what *is*
-//! pinned is the restored-image digest: a workload that runs to
-//! completion before capture produces image bytes independent of when the
-//! capture happened, so [`NetRuntime::run_cycle`] and
-//! [`crate::simrt::SimRuntime::run_cycle`] must agree on
-//! [`crate::runtime::image_set_digest`] for the same [`JobSpec`]
-//! (checked by `tests/twin_runtime.rs` and the `loopback_demo` bench
-//! bin).
-//!
-//! The wall clock enters in exactly one place (`NetClock`); everything
-//! else reads time through it, keeping the rest of this module honest
-//! about the seam.
+//! Timing here is *not* deterministic; what *is* pinned is the restored
+//! state: a workload run to completion before capture produces image bytes
+//! independent of when the capture happened, so [`NetRuntime::run_cycle`]
+//! and [`crate::simrt::SimRuntime::run_cycle`] must agree on
+//! `runtime::restored_set` for the same [`JobSpec`] and
+//! configuration (checked by `tests/twin_runtime.rs` and the
+//! `loopback_demo` bench bin). The wall clock enters in exactly one place
+//! (`NetClock`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeSet;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
 use des::{SimDuration, SimTime};
-use simnet::addr::MacAddr;
-use simnet::NetStack;
-use simos::disk::Disk;
 use simos::fs::NetFs;
-use simos::kernel::Kernel;
 use zap::image::PodImage;
-use zap::{PodConfig, Zap};
 
-use cruz::agent::{Agent, AgentAction};
+use cruz::agent::AgentAction;
 use cruz::coordinator::{CoordEffect, Coordinator};
 use cruz::error::CruzError;
+use cruz::pagecache::DigestCache;
 use cruz::proto::{CtlMsg, OpKind, ProtocolMode, AGENT_PORT, COORD_PORT};
 use cruz::replog::ReplicatedStore;
-use cruz::store::{PreparedPut, StoreConfig};
 
-use crate::jobs::{JobSpec, PodSpec};
-use crate::node::node_ip;
-use crate::params::ClusterParams;
-use crate::runtime::{image_set_digest, CtlAddr, CtlInstant};
+use crate::jobs::JobSpec;
+use crate::node::{
+    abort_epoch, commit_epoch, drain, land_images, open_store, prepare_image, read_images, Node,
+    PodPlacement, PodSpec,
+};
+use crate::ops::CkptOptions;
+use crate::params::{CkptCaptureMode, ClusterParams};
+use crate::runtime::{restored_set, CtlAddr, CtlInstant, RestoredSet};
 use crate::state::ClusterError;
 use crate::transport::{CtlSock, CtlTransport};
 
@@ -66,10 +62,6 @@ pub fn loopback_available() -> bool {
     UdpSocket::bind(("127.0.0.1", 0)).is_ok()
 }
 
-fn stuck(what: &'static str) -> ClusterError {
-    ClusterError::Protocol(CruzError::Protocol(what))
-}
-
 // ---------------------------------------------------------------------------
 // The wall clock — the net backend's single source of time.
 // ---------------------------------------------------------------------------
@@ -77,20 +69,17 @@ fn stuck(what: &'static str) -> ClusterError {
 /// The net runtime's clock: nanoseconds of real time elapsed since the
 /// runtime epoch, read as [`SimTime`] so the shared state machines never
 /// know which backend is feeding them.
-struct NetClock {
-    t0: std::time::Instant,
-}
+struct NetClock(std::time::Instant);
 
 impl NetClock {
     fn start() -> NetClock {
         // The one wall-clock read site of the net backend: every other
         // timestamp derives from this epoch. cruz-lint: allow(wall-clock)
-        let t0 = std::time::Instant::now();
-        NetClock { t0 }
+        NetClock(std::time::Instant::now())
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.t0.elapsed().as_nanos() as u64)
+        SimTime::from_nanos(self.0.elapsed().as_nanos() as u64)
     }
 }
 
@@ -101,37 +90,16 @@ impl NetClock {
 /// Shared registry mapping engine addresses to real loopback endpoints.
 type AddrTable = Arc<Mutex<Vec<((u32, u16), SocketAddr)>>>;
 
-fn table_lookup(table: &AddrTable, addr: CtlAddr) -> Option<SocketAddr> {
-    let g = match table.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    g.iter()
-        .find(|(k, _)| *k == (addr.node, addr.port))
-        .map(|&(_, real)| real)
-}
-
-fn table_reverse(table: &AddrTable, real: SocketAddr) -> Option<CtlAddr> {
-    let g = match table.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    g.iter()
-        .find(|(_, r)| *r == real)
-        .map(|&((n, p), _)| CtlAddr { node: n, port: p })
-}
-
-fn table_insert(table: &AddrTable, addr: CtlAddr, real: SocketAddr) {
-    let mut g = match table.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    g.push(((addr.node, addr.port), real));
+/// The registry, even if a thread panicked while holding it (entries are
+/// only ever pushed whole, so a poisoned table is still consistent).
+fn entries(table: &AddrTable) -> MutexGuard<'_, Vec<((u32, u16), SocketAddr)>> {
+    table.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// The loopback-UDP backend of [`CtlTransport`]: control frames ride real
 /// `std::net::UdpSocket` datagrams on `127.0.0.1`, and [`CtlAddr`]s map
-/// onto real endpoints through a registry shared with the node threads.
+/// onto real endpoints through a registry shared by every thread's
+/// transport.
 ///
 /// The contract matches the simnet backend exactly: sends are
 /// fire-and-forget, receives drain at most one decodable frame (sockets
@@ -151,6 +119,13 @@ impl NetCtl {
             socks: Vec::new(),
         }
     }
+
+    fn lookup(&self, addr: CtlAddr) -> Option<SocketAddr> {
+        entries(&self.table)
+            .iter()
+            .find(|(k, _)| *k == (addr.node, addr.port))
+            .map(|&(_, real)| real)
+    }
 }
 
 impl CtlTransport for NetCtl {
@@ -163,16 +138,16 @@ impl CtlTransport for NetCtl {
             .local_addr()
             .map_err(|_| CruzError::Protocol("bound socket has no local address"))?;
         let vport = if port == 0 { real.port() } else { port };
-        if table_lookup(&self.table, CtlAddr::new(node, vport)).is_some() {
+        if self.lookup(CtlAddr::new(node, vport)).is_some() {
             return Err(CruzError::Protocol("control port already bound"));
         }
-        table_insert(&self.table, CtlAddr::new(node, vport), real);
+        entries(&self.table).push(((node as u32, vport), real));
         self.socks.push(sock);
         Ok(CtlSock((self.socks.len() - 1) as u64))
     }
 
     fn send(&mut self, _node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, _now: CtlInstant) {
-        let Some(real) = table_lookup(&self.table, dst) else {
+        let Some(real) = self.lookup(dst) else {
             return; // unroutable ≡ lost in flight, by the seam contract
         };
         let Some(s) = self.socks.get(sock.0 as usize) else {
@@ -187,15 +162,17 @@ impl CtlTransport for NetCtl {
         let s = self.socks.get(sock.0 as usize)?;
         let mut buf = [0u8; 65536];
         loop {
-            match s.recv_from(&mut buf) {
-                Ok((n, src)) => {
-                    if let Some(msg) = CtlMsg::decode(&buf[..n]) {
-                        if let Some(from) = table_reverse(&self.table, src) {
-                            return Some((from, msg));
-                        }
-                    }
-                }
-                Err(_) => return None, // timeout, would-block, or refusal
+            // Timeout, would-block or refusal all read as "nothing queued".
+            let (n, src) = s.recv_from(&mut buf).ok()?;
+            let Some(msg) = CtlMsg::decode(&buf[..n]) else {
+                continue;
+            };
+            let from = entries(&self.table)
+                .iter()
+                .find(|(_, r)| *r == src)
+                .map(|&((node, port), _)| CtlAddr { node, port });
+            if let Some(from) = from {
+                return Some((from, msg));
             }
         }
     }
@@ -209,74 +186,57 @@ impl CtlTransport for NetCtl {
 // Store service thread.
 // ---------------------------------------------------------------------------
 
-enum StoreReq {
-    Put {
-        pod: String,
-        epoch: u64,
-        bytes: Vec<u8>,
-        /// Page-payload cuts of `bytes` (see
-        /// `PodImage::encode_with_page_cuts`).
-        cuts: Vec<(usize, usize)>,
-    },
-    Commit {
-        epoch: u64,
-    },
-    Discard {
-        epoch: u64,
-    },
-    LatestCommitted {
-        reply: mpsc::Sender<Option<u64>>,
-    },
-    Pods {
-        epoch: u64,
-        reply: mpsc::Sender<Vec<String>>,
-    },
-    Get {
-        pod: String,
-        epoch: u64,
-        reply: mpsc::Sender<Option<Vec<u8>>>,
-    },
-    Shutdown,
-}
+/// One unit of work for the store service.
+type StoreJob = Box<dyn FnOnce(&ReplicatedStore, &mut DigestCache) + Send>;
 
-/// Replies best-effort: a vanished requester means the runtime is already
-/// tearing down, which is not the store's problem.
-fn reply_to<T>(tx: &mpsc::Sender<T>, v: T) {
-    // cruz-lint: allow(swallowed-error)
-    let _ = tx.send(v);
-}
+/// A handle on the store service: one thread owning the (non-`Send`,
+/// `Rc`-backed) shared filesystem, the job's checkpoint store and its
+/// page-digest cache, serving every node thread and the coordinator — the
+/// net runtime's stand-in for the NFS server of the paper's testbed. The
+/// thread exits once every handle is dropped.
+#[derive(Clone)]
+struct StoreSvc(mpsc::Sender<StoreJob>);
 
-/// The store service: one thread owning the (non-`Send`, `Rc`-backed)
-/// shared filesystem and the checkpoint store, serving every node thread
-/// and the coordinator over a channel — the net runtime's stand-in for
-/// the NFS server of the paper's testbed.
-fn store_service(job: String, cfg: StoreConfig, rx: &mpsc::Receiver<StoreReq>) -> u64 {
-    let fs = NetFs::new();
-    let store = ReplicatedStore::new(fs, &job, 1).with_threads(cfg.threads);
-    let mut puts = 0u64;
-    while let Ok(req) = rx.recv() {
-        match req {
-            StoreReq::Put {
-                pod,
-                epoch,
-                bytes,
-                cuts,
-            } => {
-                let prepared = store.prepare_chunked(&bytes, &cuts, &cfg);
-                store.put_prepared(&pod, epoch, PreparedPut::Chunked(prepared));
-                puts += 1;
-            }
-            StoreReq::Commit { epoch } => store.commit(epoch),
-            StoreReq::Discard { epoch } => store.discard_epoch(epoch),
-            StoreReq::LatestCommitted { reply } => {
-                reply_to(&reply, store.latest_committed_epoch());
-            }
-            StoreReq::Pods { epoch, reply } => reply_to(&reply, store.pods_in_epoch(epoch)),
-            StoreReq::Get { pod, epoch, reply } => reply_to(&reply, store.get_image(&pod, epoch)),
-            StoreReq::Shutdown => break,
-        }
+impl StoreSvc {
+    /// Spawns the service for `job`, its store opened from `params`.
+    fn spawn(
+        job: String,
+        params: &ClusterParams,
+    ) -> Result<(StoreSvc, thread::JoinHandle<()>), ClusterError> {
+        let (tx, rx) = mpsc::channel::<StoreJob>();
+        let cfg = params.store.clone();
+        let handle = thread::Builder::new()
+            .name("netrt-store".into())
+            .spawn(move || {
+                let store = open_store(NetFs::new(), &job, &cfg);
+                let mut cache = DigestCache::default();
+                while let Ok(f) = rx.recv() {
+                    f(&store, &mut cache);
+                }
+            })
+            .map_err(|_| ClusterError::protocol("could not spawn the store-service thread"))?;
+        Ok((StoreSvc(tx), handle))
     }
-    puts
+
+    /// Runs `f` against the store and its page-digest cache on the service
+    /// thread, and waits for the result.
+    fn call<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&ReplicatedStore, &mut DigestCache) -> R + Send + 'static,
+    ) -> Result<R, ClusterError> {
+        let (tx, rx) = mpsc::channel();
+        let job: StoreJob = Box::new(move |store, cache| {
+            // A vanished caller is already tearing down, which is not the
+            // store's problem. cruz-lint: allow(swallowed-error)
+            let _ = tx.send(f(store, cache));
+        });
+        let died = ClusterError::protocol("store service died");
+        self.0
+            .send(job)
+            .ok()
+            .and_then(|()| rx.recv().ok())
+            .ok_or(died)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -284,299 +244,202 @@ fn store_service(job: String, cfg: StoreConfig, rx: &mpsc::Receiver<StoreReq>) -
 // ---------------------------------------------------------------------------
 
 /// What a node thread reports when it exits.
+#[derive(Default)]
 struct NodeExit {
     killed: bool,
     workload_finished: bool,
 }
 
+/// Everything a node thread starts from (all of it `Send`).
 struct NodeTask {
-    node: usize,
+    idx: usize,
     job: String,
     pods: Vec<PodSpec>,
-    sock: UdpSocket,
-    store: mpsc::Sender<StoreReq>,
+    ctl: NetCtl,
+    sock: CtlSock,
+    store: StoreSvc,
     kill: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
     params: ClusterParams,
 }
 
-/// One node of the net runtime: its own kernel + Zap + agent, mirroring
-/// the per-node state a simulated [`crate::world::World`] node carries —
-/// constructed *inside* the thread because the kernel layers are
-/// `Rc`-backed and not `Send`.
-struct NodeHost {
-    kernel: Kernel,
-    zap: Zap,
-    agent: Agent,
-    sock: UdpSocket,
-    store: mpsc::Sender<StoreReq>,
-    pods: Vec<(String, zap::pod::PodId)>,
-    coord: Option<SocketAddr>,
+/// One node of the net runtime: the shared [`Node`], built *inside* its
+/// thread because the kernel layers are `Rc`-backed and not `Send`, plus
+/// the pods it hosts and its local virtual clock.
+struct NetNode {
+    t: NodeTask,
+    node: Node,
+    pods: Vec<PodPlacement>,
     vnow: SimTime,
-    op_cpu: SimDuration,
 }
 
-impl NodeHost {
-    /// Sends a control frame best-effort, matching the transport seam's
-    /// fire-and-forget contract. cruz-lint: allow(swallowed-error)
-    fn send_best_effort(&self, msg: &CtlMsg, to: SocketAddr) {
-        let _ = self.sock.send_to(&msg.encode(), to); // cruz-lint: allow(swallowed-error)
-    }
-
+impl NetNode {
     /// Runs this node's kernel in local virtual time until every process
     /// has exited (the workloads of the twin cycle terminate on their
     /// own). Bounded so a runaway guest cannot wedge the thread.
     fn run_workload(&mut self) -> bool {
+        let kernel = &mut self.node.kernel;
         for _ in 0..50_000_000u64 {
-            if self.kernel.has_runnable() {
-                let out = self.kernel.run_slice(self.vnow);
-                self.vnow = self.vnow + out.elapsed.max(SimDuration::from_nanos(1));
-            } else if let Some(t) = self.kernel.next_timer() {
+            if kernel.has_runnable() {
+                let out = kernel.run_slice(self.vnow);
+                self.vnow += out.elapsed.max(SimDuration::from_nanos(1));
+            } else if let Some(t) = kernel.next_timer() {
                 self.vnow = t.max(self.vnow);
-                self.kernel.on_tick(self.vnow);
+                kernel.on_tick(self.vnow);
             } else {
                 // Pods emit frames (gratuitous ARPs) with nowhere to go on
                 // a single-kernel node; drop them like an unplugged cable.
-                self.kernel.take_frames();
+                kernel.take_frames();
                 return true;
             }
-            self.kernel.take_frames();
+            kernel.take_frames();
         }
         false
     }
 
-    fn on_datagram(&mut self, msg: CtlMsg, src: SocketAddr) {
-        self.vnow = self.vnow + self.op_cpu;
-        match msg {
-            CtlMsg::Ping { seq } => self.send_best_effort(&CtlMsg::Pong { seq }, src),
-            other => {
-                self.coord = Some(src);
-                let acts = self.agent.on_ctl(other, self.vnow);
-                self.run_actions(acts);
-            }
+    /// Handles one control frame: pings answer from the node, everything
+    /// else goes to the agent, which replies to whoever sent the `Start`.
+    fn on_ctl(&mut self, from: CtlAddr, msg: CtlMsg) {
+        self.vnow += self.t.params.agent_op_cpu;
+        if let CtlMsg::Ping { seq } = msg {
+            self.send(from, &CtlMsg::Pong { seq });
+            return;
         }
+        if matches!(msg, CtlMsg::Start { .. }) {
+            self.node.agent_coord_addr = Some(from);
+        }
+        let acts = self.node.agent.on_ctl(msg, self.vnow);
+        self.run(acts);
     }
 
-    fn run_actions(&mut self, acts: Vec<AgentAction>) {
-        let mut q: VecDeque<AgentAction> = acts.into();
-        while let Some(a) = q.pop_front() {
-            match a {
-                // Comm fencing guards cross-pod traffic during capture; the
-                // twin workloads are network-quiet by construction, so the
-                // net backend's fence is a no-op (the sim backend models it
-                // the same way — a filter flag on the node).
-                AgentAction::DisableComm | AgentAction::EnableComm => {}
+    fn send(&mut self, to: CtlAddr, msg: &CtlMsg) {
+        let (sock, now) = (self.node.agent_sock, self.vnow.into());
+        self.t.ctl.send(self.t.idx, sock, to, msg, now);
+    }
+
+    /// Maps the agent's actions onto the shared node calls, completing each
+    /// step as soon as it finishes. A failed step stays silent: the
+    /// coordinator's timeout aborts the operation, as in the simulator.
+    fn run(&mut self, acts: Vec<AgentAction>) {
+        for act in acts {
+            match act {
+                AgentAction::DisableComm => self.node.set_comm(&self.pods, false),
+                AgentAction::EnableComm => self.node.set_comm(&self.pods, true),
                 AgentAction::BeginLocalCheckpoint { epoch } => {
-                    let mut ok = true;
-                    for (name, pid) in self.pods.clone() {
-                        match self.zap.checkpoint_pod(&mut self.kernel, pid, self.vnow) {
-                            Ok(img) => {
-                                let (bytes, cuts) = img.encode_with_page_cuts();
-                                if self
-                                    .store
-                                    .send(StoreReq::Put {
-                                        pod: name,
-                                        epoch,
-                                        bytes,
-                                        cuts,
-                                    })
-                                    .is_err()
-                                {
-                                    ok = false;
-                                }
-                            }
-                            Err(_) => ok = false,
-                        }
+                    if let Ok(next) = self.checkpoint(epoch) {
+                        self.run(next);
                     }
-                    if ok {
-                        let next = self.agent.on_local_done(self.vnow);
-                        q.extend(next);
-                    }
-                    // On failure we stay silent; the coordinator's timeout
-                    // aborts the operation, exactly as in the simulator.
                 }
                 AgentAction::BeginLocalRestore { epoch } => {
-                    if self.restore_epoch(epoch) {
-                        let next = self.agent.on_local_done(self.vnow);
-                        q.extend(next);
+                    if let Ok(next) = self.restore(epoch) {
+                        self.run(next);
                     }
                 }
                 AgentAction::ResumePods => {
-                    for (_, pid) in self.pods.clone() {
-                        // Resuming a finished pod is a no-op; failure here
-                        // is unreachable for live ones.
-                        // cruz-lint: allow(swallowed-error)
-                        let _ = self.zap.resume_pod(&mut self.kernel, pid, self.vnow);
-                    }
+                    // Resuming a finished pod is a no-op; failure here is
+                    // unreachable for live ones.
+                    self.node.resume(&self.pods, self.vnow);
                 }
-                AgentAction::RollBack { epoch } => {
-                    // cruz-lint: allow(swallowed-error)
-                    let _ = self.store.send(StoreReq::Discard { epoch });
-                    for (_, pid) in self.pods.clone() {
-                        // cruz-lint: allow(swallowed-error)
-                        let _ = self.zap.resume_pod(&mut self.kernel, pid, self.vnow);
-                    }
+                AgentAction::RollBack { .. } => {
+                    // The epoch itself is discarded by the coordinator's
+                    // abort effect.
+                    self.node.roll_back(&self.pods, Vec::new(), self.vnow);
                 }
                 AgentAction::Send(msg) => {
-                    if let Some(c) = self.coord {
-                        self.send_best_effort(&msg, c);
+                    if let Some(to) = self.node.agent_coord_addr {
+                        self.send(to, &msg);
                     }
                 }
             }
         }
     }
 
-    /// Fetches every pod image of `epoch` from the store service and
-    /// restarts them locally (the restore path of Fig. 2, over channels
-    /// instead of NFS). False on any failure — the agent then stays
-    /// silent and the coordinator aborts by timeout.
-    fn restore_epoch(&mut self, epoch: u64) -> bool {
-        let (tx, rx) = mpsc::channel();
-        if self
-            .store
-            .send(StoreReq::Pods { epoch, reply: tx })
-            .is_err()
-        {
-            return false;
-        }
-        let mut names = match rx.recv() {
-            Ok(v) => v,
-            Err(_) => return false,
+    /// The local checkpoint: capture, prepare each image on the store
+    /// service, land them, then report `done`. Under COW capture the node
+    /// reports `done` once the snapshots are armed, then drains, lands and
+    /// reports `durable`. Returns the agent's next actions.
+    fn checkpoint(&mut self, epoch: u64) -> Result<Vec<AgentAction>, ClusterError> {
+        let (store, cfg) = (self.t.store.clone(), self.t.params.store.clone());
+        let prepare = |name: &str, img: PodImage, dirty: Vec<BTreeSet<u64>>| {
+            let (cfg, name) = (cfg.clone(), name.to_owned());
+            store.call(move |s, cache| prepare_image(s, &cfg, &name, &img, &dirty, cache))
         };
-        if names.is_empty() {
-            return false;
-        }
-        names.sort();
-        for name in names {
-            let (tx, rx) = mpsc::channel();
-            if self
-                .store
-                .send(StoreReq::Get {
-                    pod: name.clone(),
-                    epoch,
-                    reply: tx,
-                })
-                .is_err()
-            {
-                return false;
-            }
-            let bytes = match rx.recv() {
-                Ok(Some(b)) => b,
-                _ => return false,
-            };
-            let img = match PodImage::decode(&bytes) {
-                Ok(i) => i,
-                Err(_) => return false,
-            };
-            let pid = match self.zap.restart_pod(&mut self.kernel, &img, self.vnow) {
-                Ok(p) => p,
-                Err(_) => return false,
-            };
-            self.pods.push((name, pid));
-        }
-        true
+        let cow = self.t.params.capture == CkptCaptureMode::Cow;
+        let puts = if cow {
+            self.node.arm(&self.pods, self.vnow).map(|armed| {
+                let next = self.node.agent.on_local_done(self.vnow);
+                self.run(next);
+                drain(armed, prepare).0
+            })
+        } else {
+            self.node.capture(&self.pods, self.vnow, prepare)
+        }?;
+        let images = puts
+            .into_iter()
+            .map(|(name, put)| put.map(|p| (name, p)))
+            .collect::<Result<Vec<_>, _>>()?;
+        store.call(move |s, cache| land_images(s, Some(cache), epoch, images))?;
+        Ok(if cow {
+            self.node.agent.on_local_durable(self.vnow)
+        } else {
+            self.node.agent.on_local_done(self.vnow)
+        })
+    }
+
+    /// Reads every pod image of `epoch` from the store service and brings
+    /// the pods up here (the restore path of Fig. 2, over channels instead
+    /// of NFS). Returns the agent's next actions.
+    fn restore(&mut self, epoch: u64) -> Result<Vec<AgentAction>, ClusterError> {
+        let images = self
+            .t
+            .store
+            .call(move |store, _| read_images(store, &store.pods_in_epoch(epoch), epoch))??;
+        let (idx, pods) = (self.t.idx, &mut self.pods);
+        self.node.restart(images, self.vnow, |r, pod_id| {
+            pods.push(PodPlacement {
+                name: r.pod.clone(),
+                ip: r.image.ip,
+                mac_mode: r.image.mac_mode,
+                node: idx,
+                pod_id: Some(pod_id),
+            });
+        })?;
+        Ok(self.node.agent.on_local_done(self.vnow))
     }
 }
 
 /// The body of one node thread: build the node, run its workload to
 /// completion, then serve the control endpoint until killed or shut down.
-fn node_thread(task: NodeTask) -> NodeExit {
-    let NodeTask {
-        node,
-        job,
-        pods,
-        sock,
-        store,
-        kill,
-        shutdown,
-        params,
-    } = task;
-    // Mirror the simulated World::new node construction exactly — same
-    // MAC/IP derivation, same kernel parameters — and the launch_job pod
-    // sequence exactly (same pod names, same spawn order), so a workload
-    // run to completion leaves byte-identical state on both backends.
-    let net = NetStack::new(
-        MacAddr::from_index(node as u32 + 1),
-        node_ip(node),
-        params.subnet_prefix,
-        params.tcp.clone(),
-    );
-    let mut kernel = Kernel::new(net, NetFs::new(), Disk::new(params.disk), params.kernel);
-    let zap = Zap::new();
-    zap.install(&mut kernel);
-    let mut host = NodeHost {
-        kernel,
-        zap,
-        agent: Agent::new(),
-        sock,
-        store,
-        pods: Vec::new(),
-        coord: None,
-        vnow: SimTime::ZERO,
-        op_cpu: params.agent_op_cpu,
-    };
-    for p in &pods {
-        let pod_id = match host.zap.create_pod(
-            &mut host.kernel,
-            PodConfig {
-                name: format!("{}:{}", job, p.name),
-                ip: p.ip,
-                mac_mode: p.mac_mode,
-            },
-        ) {
-            Ok(id) => id,
-            Err(_) => {
-                return NodeExit {
-                    killed: false,
-                    workload_finished: false,
-                }
-            }
-        };
-        for prog in &p.programs {
-            if host
-                .zap
-                .spawn_in_pod(&mut host.kernel, pod_id, prog)
-                .is_err()
-            {
-                return NodeExit {
-                    killed: false,
-                    workload_finished: false,
-                };
-            }
+fn node_thread(t: NodeTask) -> NodeExit {
+    let mut node = Node::new(t.idx, NetFs::new(), &t.params);
+    node.agent_sock = t.sock;
+    let mut pods = Vec::new();
+    for spec in &t.pods {
+        match node.launch_pod(&t.job, spec) {
+            Ok(p) => pods.push(p),
+            Err(_) => return NodeExit::default(),
         }
-        host.pods.push((p.name.clone(), pod_id));
     }
-    let workload_finished = host.run_workload();
-    let mut buf = [0u8; 65536];
+    let mut n = NetNode {
+        t,
+        node,
+        pods,
+        vnow: SimTime::ZERO,
+    };
+    let workload_finished = n.run_workload();
     loop {
-        if kill.load(Ordering::Relaxed) {
-            // Fail-stop: drop the socket mid-protocol and stop answering.
+        let killed = n.t.kill.load(Ordering::Relaxed);
+        if killed || n.t.shutdown.load(Ordering::Relaxed) {
+            // A kill is fail-stop: the socket drops mid-protocol and the
+            // node stops answering.
             return NodeExit {
-                killed: true,
+                killed,
                 workload_finished,
             };
         }
-        if shutdown.load(Ordering::Relaxed) {
-            return NodeExit {
-                killed: false,
-                workload_finished,
-            };
-        }
-        match host.sock.recv_from(&mut buf) {
-            Ok((n, src)) => {
-                if let Some(msg) = CtlMsg::decode(&buf[..n]) {
-                    host.on_datagram(msg, src);
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                return NodeExit {
-                    killed: false,
-                    workload_finished,
-                }
-            }
+        // recv carries a 1 ms read timeout, so this loop paces itself.
+        if let Some((from, msg)) = n.t.ctl.recv(n.t.idx, n.node.agent_sock) {
+            n.on_ctl(from, msg);
         }
     }
 }
@@ -597,6 +460,9 @@ pub struct NetRuntimeReport {
     pub restored_digest: u64,
     /// The pods restored onto the spare, in digest order.
     pub restored_pods: Vec<String>,
+    /// Each store replica's tree digest after the restore
+    /// (`ReplicatedStore::tree_digest`), replica 0 first.
+    pub replica_digests: Vec<u64>,
     /// Heartbeat probes sent during failure detection.
     pub pings_sent: u64,
     /// Heartbeat replies received during failure detection.
@@ -618,10 +484,11 @@ pub struct NetRuntimeReport {
 struct NetCluster {
     clock: NetClock,
     netctl: NetCtl,
+    coord_node: usize,
     csock: CtlSock,
-    store_tx: mpsc::Sender<StoreReq>,
-    store_handle: thread::JoinHandle<u64>,
-    node_handles: Vec<(usize, thread::JoinHandle<NodeExit>)>,
+    store: StoreSvc,
+    store_handle: thread::JoinHandle<()>,
+    node_handles: Vec<thread::JoinHandle<NodeExit>>,
     kill: Vec<Arc<AtomicBool>>,
     shutdown: Arc<AtomicBool>,
     pings_sent: u64,
@@ -634,23 +501,42 @@ impl NetCluster {
     fn teardown(self) -> (usize, usize, usize) {
         self.shutdown.store(true, Ordering::Relaxed);
         let (mut joined, mut killed, mut finished) = (0, 0, 0);
-        for (_, h) in self.node_handles {
+        for h in self.node_handles {
             if let Ok(exit) = h.join() {
                 joined += 1;
-                if exit.killed {
-                    killed += 1;
-                }
-                if exit.workload_finished {
-                    finished += 1;
-                }
+                killed += usize::from(exit.killed);
+                finished += usize::from(exit.workload_finished);
             }
         }
-        // cruz-lint: allow(swallowed-error)
-        let _ = self.store_tx.send(StoreReq::Shutdown);
+        // The last store handle: the service drains and exits.
+        drop(self.store);
         if self.store_handle.join().is_ok() {
             joined += 1;
         }
         (joined, killed, finished)
+    }
+
+    /// Sends `msg` from the coordinator endpoint to `node`'s agent.
+    fn send(&mut self, node: usize, msg: &CtlMsg) {
+        let (dst, now) = (self.netctl.agent_addr(node), self.clock.now());
+        self.netctl
+            .send(self.coord_node, self.csock, dst, msg, now.into());
+    }
+
+    /// The next frame queued on the coordinator endpoint, if any (waits at
+    /// most the socket's 1 ms read timeout, which paces the caller's loop).
+    fn recv(&mut self) -> Option<(CtlAddr, CtlMsg)> {
+        self.netctl.recv(self.coord_node, self.csock)
+    }
+
+    /// Sends coordinator output to the agent endpoints it names (agent
+    /// index `i` is `targets[i]`).
+    fn emit(&mut self, targets: &[usize], msgs: Vec<(usize, CtlMsg)>) {
+        for (idx, msg) in msgs {
+            if let Some(&node) = targets.get(idx) {
+                self.send(node, &msg);
+            }
+        }
     }
 }
 
@@ -660,33 +546,24 @@ impl NetCluster {
 pub struct NetRuntime {
     n: usize,
     params: ClusterParams,
-    wall_budget: Duration,
 }
+
+/// The whole-cycle wall-clock budget: on expiry the cycle errors out
+/// instead of hanging its caller.
+const WALL_BUDGET: Duration = Duration::from_secs(30);
 
 impl NetRuntime {
     /// A cluster of `n` node threads (plus a store-service thread and the
     /// caller-side coordinator).
     pub fn new(n: usize, params: ClusterParams) -> NetRuntime {
-        NetRuntime {
-            n,
-            params,
-            wall_budget: Duration::from_secs(30),
-        }
-    }
-
-    /// Overrides the whole-cycle wall-clock budget (default 30 s); on
-    /// expiry the cycle errors out instead of hanging its caller.
-    #[must_use]
-    pub fn with_wall_budget(mut self, budget: Duration) -> NetRuntime {
-        self.wall_budget = budget;
-        self
+        NetRuntime { n, params }
     }
 
     /// Runs the full cycle for `spec`: launch the pods on their node
     /// threads, run the workload to completion, checkpoint over UDP, kill
     /// every hosting node's thread, detect the deaths by heartbeat,
     /// restore the committed epoch onto `spare`, and digest the restored
-    /// images. Always joins every thread it spawned before returning.
+    /// state. Always joins every thread it spawned before returning.
     ///
     /// # Errors
     ///
@@ -698,12 +575,7 @@ impl NetRuntime {
         spec: &JobSpec,
         spare: usize,
     ) -> Result<NetRuntimeReport, ClusterError> {
-        let app_nodes: Vec<usize> = {
-            let mut v: Vec<usize> = spec.pods.iter().map(|p| p.node).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let app_nodes = spec.app_nodes();
         if spare >= self.n {
             return Err(ClusterError::BadNode(spare));
         }
@@ -711,18 +583,22 @@ impl NetRuntime {
             return Err(ClusterError::BadNode(bad));
         }
         if app_nodes.contains(&spare) {
-            return Err(stuck("spare node hosts a pod of the job"));
+            return Err(ClusterError::protocol("spare node hosts a pod of the job"));
         }
         let mut cluster = self.launch(spec)?;
-        let result = self.drive(&mut cluster, spec, &app_nodes, spare);
+        // Whatever fails from here, every thread spawned so far is joined.
+        let result = self
+            .spawn_nodes(&mut cluster, spec)
+            .and_then(|()| self.drive(&mut cluster, spec, &app_nodes, spare));
         let pings_sent = cluster.pings_sent;
         let pongs_received = cluster.pongs_received;
         let (joined, killed, finished) = cluster.teardown();
-        let (epoch, restored_digest, restored_pods, failed_nodes) = result?;
+        let (epoch, restored, failed_nodes) = result?;
         Ok(NetRuntimeReport {
             epoch,
-            restored_digest,
-            restored_pods,
+            restored_digest: restored.digest,
+            restored_pods: restored.pods,
+            replica_digests: restored.replica_digests,
             pings_sent,
             pongs_received,
             failed_nodes,
@@ -732,46 +608,35 @@ impl NetRuntime {
         })
     }
 
-    /// Binds every socket, spawns the store service and one thread per
-    /// node, and hands back the handles.
+    /// Spawns the store service and hands back the cluster's handles.
     fn launch(&self, spec: &JobSpec) -> Result<NetCluster, ClusterError> {
-        let table: AddrTable = Arc::new(Mutex::new(Vec::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (store_tx, store_rx) = mpsc::channel();
-        let job = spec.name.clone();
-        let cfg = self.params.store.clone();
-        let store_handle = thread::Builder::new()
-            .name("netrt-store".into())
-            .spawn(move || store_service(job, cfg, &store_rx))
-            .map_err(|_| stuck("could not spawn the store-service thread"))?;
-        let mut cluster = NetCluster {
+        let (store, store_handle) = StoreSvc::spawn(spec.name.clone(), &self.params)?;
+        Ok(NetCluster {
             clock: NetClock::start(),
-            netctl: NetCtl::new(table.clone()),
+            netctl: NetCtl::new(Arc::new(Mutex::new(Vec::new()))),
+            coord_node: spec.coordinator_node,
             csock: CtlSock(0),
-            store_tx,
+            store,
             store_handle,
             node_handles: Vec::new(),
             kill: Vec::new(),
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
             pings_sent: 0,
             pongs_received: 0,
-        };
-        cluster.csock = cluster
-            .netctl
-            .bind(spec.coordinator_node, COORD_PORT)
-            .map_err(ClusterError::Protocol)?;
+        })
+    }
+
+    /// Binds every socket and spawns one thread per node.
+    fn spawn_nodes(&self, cluster: &mut NetCluster, spec: &JobSpec) -> Result<(), ClusterError> {
+        cluster.csock = cluster.netctl.bind(spec.coordinator_node, COORD_PORT)?;
         for node in 0..self.n {
-            let sock = UdpSocket::bind(("127.0.0.1", 0))
-                .map_err(|_| stuck("loopback bind refused for a node endpoint"))?;
-            sock.set_read_timeout(Some(Duration::from_millis(2)))
-                .map_err(|_| stuck("socket read timeout rejected"))?;
-            let real = sock
-                .local_addr()
-                .map_err(|_| stuck("bound socket has no local address"))?;
-            table_insert(&table, CtlAddr::new(node, AGENT_PORT), real);
+            // Bound here, before the thread starts, so a `Start` sent while
+            // the node still runs its workload waits in the socket buffer.
+            let mut ctl = NetCtl::new(cluster.netctl.table.clone());
+            let sock = ctl.bind(node, AGENT_PORT)?;
             let kill = Arc::new(AtomicBool::new(false));
             let task = NodeTask {
-                node,
+                idx: node,
                 job: spec.name.clone(),
                 pods: spec
                     .pods
@@ -779,8 +644,9 @@ impl NetRuntime {
                     .filter(|p| p.node == node)
                     .cloned()
                     .collect(),
+                ctl,
                 sock,
-                store: cluster.store_tx.clone(),
+                store: cluster.store.clone(),
                 kill: kill.clone(),
                 shutdown: cluster.shutdown.clone(),
                 params: self.params.clone(),
@@ -788,151 +654,105 @@ impl NetRuntime {
             let handle = thread::Builder::new()
                 .name(format!("netrt-node-{node}"))
                 .spawn(move || node_thread(task))
-                .map_err(|_| stuck("could not spawn a node thread"))?;
+                .map_err(|_| ClusterError::protocol("could not spawn a node thread"))?;
             cluster.kill.push(kill);
-            cluster.node_handles.push((node, handle));
+            cluster.node_handles.push(handle);
         }
-        Ok(cluster)
+        Ok(())
     }
 
     /// The coordinator side of the cycle, run on the caller's thread.
-    #[allow(clippy::type_complexity)]
     fn drive(
         &self,
         c: &mut NetCluster,
         spec: &JobSpec,
         app_nodes: &[usize],
         spare: usize,
-    ) -> Result<(u64, u64, Vec<String>, Vec<usize>), ClusterError> {
-        // Phase 1: blocking checkpoint of the finished workload. The node
-        // threads run their workloads before serving the control endpoint,
-        // so the coordinator's (retried) Start waits for them naturally.
-        let ckpt_epoch = 1;
-        self.run_op(c, spec, OpKind::Checkpoint, ckpt_epoch, app_nodes)?;
+    ) -> Result<(u64, RestoredSet, Vec<usize>), ClusterError> {
+        let timeout = self.params.recovery.op_timeout;
+        // Phase 1: checkpoint the finished workload. The node threads run
+        // their workloads before serving the control endpoint, so the
+        // coordinator's `Start` waits for them naturally.
+        let opts = CkptOptions {
+            timeout: Some(timeout),
+            ..CkptOptions::default()
+        };
+        let (coord, _) = opts.coordinator(&self.params, 1, app_nodes.len());
+        self.run_op(c, coord, app_nodes)?;
         // Phase 2: fail-stop every node hosting a pod.
         for &n in app_nodes {
             c.kill[n].store(true, Ordering::Relaxed);
         }
         // Phase 3: heartbeat detection against the wall clock.
-        let failed = self.detect_failures(c, spec, app_nodes);
+        let failed = self.detect_failures(c, app_nodes);
         if failed != app_nodes {
-            return Err(stuck("heartbeat pass did not converge on the killed nodes"));
+            return Err(ClusterError::protocol("heartbeats missed the kill"));
         }
         // Phase 4: roll back to the last committed epoch on the spare.
-        let (tx, rx) = mpsc::channel();
-        if c.store_tx
-            .send(StoreReq::LatestCommitted { reply: tx })
-            .is_err()
-        {
-            return Err(stuck("store service died"));
-        }
-        let epoch = match rx.recv() {
-            Ok(Some(e)) => e,
-            _ => return Err(stuck("no committed epoch to roll back to")),
-        };
-        self.run_op(c, spec, OpKind::Restart, epoch, &[spare])?;
-        // Phase 5: digest the restored images straight from the store.
-        let (tx, rx) = mpsc::channel();
-        if c.store_tx
-            .send(StoreReq::Pods { epoch, reply: tx })
-            .is_err()
-        {
-            return Err(stuck("store service died"));
-        }
-        let mut pods = match rx.recv() {
-            Ok(v) => v,
-            Err(_) => return Err(stuck("store service died")),
-        };
-        pods.sort();
-        let mut pairs: Vec<(String, Vec<u8>)> = Vec::with_capacity(pods.len());
-        for p in pods {
-            let (tx, rx) = mpsc::channel();
-            if c.store_tx
-                .send(StoreReq::Get {
-                    pod: p.clone(),
-                    epoch,
-                    reply: tx,
-                })
-                .is_err()
-            {
-                return Err(stuck("store service died"));
-            }
-            match rx.recv() {
-                Ok(Some(bytes)) => pairs.push((p, bytes)),
-                _ => return Err(stuck("restored pod image missing from the store")),
-            }
-        }
-        Ok((
-            epoch,
-            image_set_digest(&pairs),
-            pairs.into_iter().map(|(p, _)| p).collect(),
-            failed,
-        ))
+        let epoch = c
+            .store
+            .call(|store, _| store.latest_committed_epoch())?
+            .ok_or(ClusterError::protocol("no committed epoch to roll back to"))?;
+        let coord = Coordinator::new(OpKind::Restart, ProtocolMode::Blocking, epoch, vec![0])
+            .with_timeout(timeout);
+        self.run_op(c, coord, &[spare])?;
+        // Phase 5: what the restore left in the store.
+        let pods: Vec<String> = spec.pods.iter().map(|p| p.name.clone()).collect();
+        let restored = c
+            .store
+            .call(move |store, _| restored_set(store, epoch, &pods))??;
+        Ok((epoch, restored, failed))
     }
 
     /// Runs one coordinated operation against `targets` (agent index `i`
     /// is `targets[i]`), driving the shared [`Coordinator`] state machine
-    /// with real datagrams and wall-clock retry/timeout.
+    /// with real datagrams and wall-clock retry/timeout, and applying its
+    /// store effects through the store service.
     fn run_op(
         &self,
         c: &mut NetCluster,
-        spec: &JobSpec,
-        kind: OpKind,
-        epoch: u64,
+        mut coord: Coordinator,
         targets: &[usize],
     ) -> Result<(), ClusterError> {
         let started = c.clock.now();
-        let timeout = self.params.recovery.op_timeout;
-        let mut coord = Coordinator::new(
-            kind,
-            ProtocolMode::Blocking,
-            epoch,
-            (0..targets.len()).collect(),
-        )
-        .with_timeout(timeout);
-        let retry = self.params.ctl_retry.clone();
+        let retry = self.params.ctl_retry;
         let mut attempt: u32 = 0;
         let mut next_retry = retry
             .as_ref()
             .and_then(|r| r.delay(attempt))
             .map(|d| started + d);
         let (msgs, effects) = coord.start(started);
-        self.emit(c, spec, targets, msgs);
-        self.apply_effects(c, effects)?;
+        c.emit(targets, msgs);
+        self.apply_effects(c, &coord, effects)?;
         loop {
             if coord.is_complete() {
                 return Ok(());
             }
             if coord.is_aborted() {
-                return Err(stuck("operation aborted"));
+                return Err(ClusterError::protocol("operation aborted"));
             }
             let now = c.clock.now();
-            if now.duration_since(SimTime::ZERO)
-                > SimDuration::from_nanos(self.wall_budget.as_nanos() as u64)
-            {
-                return Err(stuck("wall budget exhausted mid-operation"));
+            if now > SimTime::from_nanos(WALL_BUDGET.as_nanos() as u64) {
+                return Err(ClusterError::protocol("wall budget exhausted"));
             }
-            // recv carries a 1 ms read timeout, so this loop paces itself.
-            if let Some((from, msg)) = c.netctl.recv(spec.coordinator_node, c.csock) {
+            if let Some((from, msg)) = c.recv() {
                 if let Some(idx) = targets.iter().position(|&t| t as u32 == from.node) {
                     let (msgs, effects) = coord.on_message(idx, msg, now);
-                    self.apply_effects(c, effects)?;
-                    self.emit(c, spec, targets, msgs);
+                    self.apply_effects(c, &coord, effects)?;
+                    c.emit(targets, msgs);
                 }
                 continue;
             }
-            if let Some(d) = coord.deadline() {
-                if now >= d {
-                    let (msgs, effects) = coord.on_timeout(now);
-                    self.apply_effects(c, effects)?;
-                    self.emit(c, spec, targets, msgs);
-                    continue;
-                }
+            if coord.deadline().is_some_and(|d| now >= d) {
+                let (msgs, effects) = coord.on_timeout(now);
+                self.apply_effects(c, &coord, effects)?;
+                c.emit(targets, msgs);
+                continue;
             }
             if let (Some(pol), Some(at)) = (&retry, next_retry) {
                 if now >= at {
                     let msgs = coord.on_retry(now);
-                    self.emit(c, spec, targets, msgs);
+                    c.emit(targets, msgs);
                     attempt += 1;
                     next_retry = pol.delay(attempt).map(|d| now + d);
                 }
@@ -940,38 +760,28 @@ impl NetRuntime {
         }
     }
 
-    /// Sends coordinator output to the agent endpoints it names.
-    fn emit(
-        &self,
-        c: &mut NetCluster,
-        spec: &JobSpec,
-        targets: &[usize],
-        msgs: Vec<(usize, CtlMsg)>,
-    ) {
-        let now = c.clock.now();
-        for (idx, msg) in msgs {
-            let Some(&node) = targets.get(idx) else {
-                continue;
-            };
-            let dst = c.netctl.agent_addr(node);
-            c.netctl
-                .send(spec.coordinator_node, c.csock, dst, &msg, now.into());
-        }
-    }
-
+    /// The coordinator's store effects: the shared commit and abort
+    /// effects, run on the store service.
     fn apply_effects(
         &self,
-        c: &mut NetCluster,
+        c: &NetCluster,
+        coord: &Coordinator,
         effects: Vec<CoordEffect>,
     ) -> Result<(), ClusterError> {
+        let (kind, prune) = (coord.kind(), self.params.prune_old_epochs);
         for e in effects {
             match e {
                 CoordEffect::Commit { epoch } => {
-                    if c.store_tx.send(StoreReq::Commit { epoch }).is_err() {
-                        return Err(stuck("store service died"));
-                    }
+                    c.store
+                        .call(move |store, _| commit_epoch(store, epoch, prune))?;
                 }
-                CoordEffect::Complete { .. } | CoordEffect::Aborted { .. } => {}
+                CoordEffect::Aborted { epoch } => c.store.call(move |store, cache| {
+                    abort_epoch(store, kind, epoch);
+                    // An abort may have re-baselined dirty tracking without
+                    // a completed prepare: remembered digests are stale.
+                    *cache = DigestCache::default();
+                })?,
+                CoordEffect::Complete { .. } => {}
             }
         }
         Ok(())
@@ -980,54 +790,38 @@ impl NetRuntime {
     /// Heartbeat failure detection over real sockets: ping every app node
     /// each interval; a node that misses `MISS_ROUNDS` consecutive rounds
     /// is declared dead. Returns the dead set in ascending order.
-    fn detect_failures(&self, c: &mut NetCluster, spec: &JobSpec, nodes: &[usize]) -> Vec<usize> {
+    fn detect_failures(&self, c: &mut NetCluster, nodes: &[usize]) -> Vec<usize> {
         const MISS_ROUNDS: u32 = 3;
-        const MAX_ROUNDS: u32 = 200;
+        const MAX_ROUNDS: u64 = 200;
         let interval = self.params.recovery.heartbeat_interval;
-        let mut misses: BTreeMap<usize, u32> = nodes.iter().map(|&n| (n, 0)).collect();
-        let mut seq: u64 = 0;
-        for _ in 0..MAX_ROUNDS {
-            seq += 1;
-            let sent = c.clock.now();
+        let mut misses = vec![0u32; nodes.len()];
+        for seq in 1..=MAX_ROUNDS {
+            let deadline = c.clock.now() + interval;
             for &n in nodes {
-                let dst = c.netctl.agent_addr(n);
-                c.netctl.send(
-                    spec.coordinator_node,
-                    c.csock,
-                    dst,
-                    &CtlMsg::Ping { seq },
-                    sent.into(),
-                );
+                c.send(n, &CtlMsg::Ping { seq });
                 c.pings_sent += 1;
             }
-            let deadline = sent + interval;
             let mut ponged: Vec<usize> = Vec::new();
             while c.clock.now() < deadline {
-                if let Some((from, CtlMsg::Pong { seq: got })) =
-                    c.netctl.recv(spec.coordinator_node, c.csock)
-                {
+                if let Some((from, CtlMsg::Pong { seq: got })) = c.recv() {
                     c.pongs_received += 1;
                     if got == seq {
                         ponged.push(from.node as usize);
                     }
                 }
             }
-            for &n in nodes {
-                let m = misses.entry(n).or_insert(0);
-                if ponged.contains(&n) {
-                    *m = 0;
-                } else {
-                    *m += 1;
-                }
+            for (m, n) in misses.iter_mut().zip(nodes) {
+                *m = if ponged.contains(n) { 0 } else { *m + 1 };
             }
-            if misses.values().all(|&m| m >= MISS_ROUNDS) {
+            if misses.iter().all(|&m| m >= MISS_ROUNDS) {
                 break;
             }
         }
-        misses
-            .into_iter()
-            .filter(|&(_, m)| m >= MISS_ROUNDS)
-            .map(|(n, _)| n)
+        nodes
+            .iter()
+            .zip(&misses)
+            .filter(|&(_, &m)| m >= MISS_ROUNDS)
+            .map(|(&n, _)| n)
             .collect()
     }
 }

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use des::{SimDuration, SimTime};
-use zap::image::PodImage;
 use zap::ArmedPodCheckpoint;
 
 use cruz::coordinator::{CoordEffect, CoordStats, Coordinator};
@@ -23,7 +22,8 @@ use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind, ProtocolMode};
 use cruz::store::PreparedPut;
 
-use crate::params::CkptCaptureMode;
+use crate::node::{abort_epoch, commit_epoch, RestoreImage};
+use crate::params::{CkptCaptureMode, ClusterParams};
 use crate::recovery::RecoveryOutcome;
 use crate::runtime::{Deadline, Timers};
 use crate::state::{ClusterError, World};
@@ -51,7 +51,7 @@ pub(crate) struct OpRuntime {
     pub(crate) cow_copied: BTreeMap<usize, u64>,
     /// Restart: each node's pod images, read and decoded when its local
     /// restore began, instantiated when the disk read completes.
-    pub(crate) pending_restore: BTreeMap<usize, Vec<(String, PodImage)>>,
+    pub(crate) pending_restore: BTreeMap<usize, Vec<RestoreImage>>,
     pub(crate) local_ops: BTreeMap<usize, (SimTime, SimTime)>,
     pub(crate) resumed_at: BTreeMap<usize, SimTime>,
     pub(crate) complete: bool,
@@ -75,6 +75,41 @@ pub struct CkptOptions {
     pub capture: Option<CkptCaptureMode>,
     /// Failure-detection timeout (abort + rollback on expiry).
     pub timeout: Option<SimDuration>,
+}
+
+impl CkptOptions {
+    /// The coordinator of checkpoint `epoch` over `agents` participants
+    /// under these options, with the capture mode they resolve to — the
+    /// one construction both runtimes use.
+    pub(crate) fn coordinator(
+        &self,
+        params: &ClusterParams,
+        epoch: u64,
+        agents: usize,
+    ) -> (Coordinator, CkptCaptureMode) {
+        let capture = self.capture.unwrap_or(params.capture);
+        let mut coord =
+            Coordinator::new(OpKind::Checkpoint, self.mode, epoch, (0..agents).collect());
+        // With recovery on, every operation gets a failure-detection
+        // timeout even if the caller set none: a crashed participant must
+        // abort the op, not hang it forever.
+        let timeout = self.timeout.or_else(|| {
+            params
+                .recovery
+                .enabled
+                .then_some(params.recovery.op_timeout)
+        });
+        if let Some(t) = timeout {
+            coord = coord.with_timeout(t);
+        }
+        // COW capture needs the §5.2 message flow: `done` at arm-complete
+        // resumes pods early, `durable` after the background drain gates the
+        // commit record.
+        if self.cow || capture == CkptCaptureMode::Cow {
+            coord = coord.with_cow();
+        }
+        (coord, capture)
+    }
 }
 
 impl Default for CkptOptions {
@@ -195,33 +230,9 @@ impl World {
         let jr = self.jobs.get(job).ok_or(ClusterError::NoSuchJob)?;
         let agents_nodes = jr.app_nodes();
         let coord_node = jr.coordinator_node;
-        let capture = opts.capture.unwrap_or(self.params.capture);
         let op = self.next_op;
         self.next_op += 1;
-        let mut coord = Coordinator::new(
-            OpKind::Checkpoint,
-            opts.mode,
-            op,
-            (0..agents_nodes.len()).collect(),
-        );
-        // With recovery on, every operation gets a failure-detection
-        // timeout even if the caller set none: a crashed participant must
-        // abort the op, not hang it forever.
-        let timeout = opts.timeout.or_else(|| {
-            self.params
-                .recovery
-                .enabled
-                .then_some(self.params.recovery.op_timeout)
-        });
-        if let Some(t) = timeout {
-            coord = coord.with_timeout(t);
-        }
-        // COW capture needs the §5.2 message flow: `done` at arm-complete
-        // resumes pods early, `durable` after the background drain gates the
-        // commit record.
-        if opts.cow || capture == CkptCaptureMode::Cow {
-            coord = coord.with_cow();
-        }
+        let (coord, capture) = opts.coordinator(&self.params, op, agents_nodes.len());
         self.install_op(
             op,
             op,
@@ -449,17 +460,12 @@ impl World {
         self.op_aborted_cleanup(op);
     }
 
-    /// Post-abort bookkeeping shared by every abort path: a checkpoint's
-    /// uncommitted epoch is discarded and any chunks stranded by a torn or
-    /// interrupted write are reclaimed; a pending recovery pass waiting on
-    /// this op is marked failed.
+    /// Post-abort bookkeeping shared by every abort path: the store's abort
+    /// effect ([`abort_epoch`]) runs, and a pending recovery pass waiting
+    /// on this op is marked failed.
     pub(crate) fn op_aborted_cleanup(&mut self, op: u64) {
         if let Some(o) = self.ops.get(&op) {
-            if o.kind == OpKind::Checkpoint {
-                let store = self.store(&o.job.clone());
-                store.discard_epoch(o.image_epoch);
-                store.gc_orphan_chunks();
-            }
+            abort_epoch(&self.store(&o.job), o.kind, o.image_epoch);
             // An aborted op may have re-baselined dirty tracking (e.g. a
             // COW arm that never drained) without a completed prepare, so
             // remembered page digests can no longer be trusted.
@@ -558,16 +564,7 @@ impl World {
         for fx in effects {
             match fx {
                 CoordEffect::Commit { .. } => {
-                    let store = self.store(&job);
-                    store.commit(image_epoch);
-                    if self.params.prune_old_epochs {
-                        store.prune_below(image_epoch);
-                        // With retention pruning on, only the newest epoch
-                        // survives — compact the replica logs down to it so
-                        // write amplification tracks the retained state,
-                        // not the job's age. No-op at k = 1.
-                        store.compact_logs();
-                    }
+                    commit_epoch(&self.store(&job), image_epoch, self.params.prune_old_epochs);
                 }
                 CoordEffect::Complete { .. } => {
                     if let Some(o) = self.ops.get_mut(&op) {

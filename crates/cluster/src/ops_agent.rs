@@ -1,30 +1,29 @@
-//! Coordinated-operation runtime, agent side: executing protocol actions
-//! against the Zap layer and the disk.
+//! Coordinated-operation runtime, agent side: when each participant
+//! node's protocol actions happen in the simulator.
 //!
 //! The coordinator half (install, retry/timeout, abort bookkeeping) is in
-//! [`crate::ops`]; this module is everything a *participant node* does —
-//! answering liveness probes, freezing and capturing pods, persisting
-//! images, restoring from the store, resuming, and rolling back. The
-//! stop-the-world capture path lives here; the COW arm/drain schedule is
-//! in [`crate::drain`]. Like the coordinator half, every future action is
-//! registered through the [`crate::runtime::Timers`] seam.
-
-use std::collections::BTreeSet;
+//! [`crate::ops`]; this module wires everything a *participant node* does
+//! — answering liveness probes, freezing and capturing pods, persisting
+//! images, restoring from the store, resuming, and rolling back — onto
+//! the simulated disk and control CPU. The work itself is the shared node
+//! agent of [`crate::node`], the same calls the net runtime makes; the
+//! COW arm/drain schedule is in [`crate::drain`]. Like the coordinator
+//! half, every future action is registered through the
+//! [`crate::runtime::Timers`] seam.
 
 use simos::disk::WriteFault;
-use zap::image::PodImage;
+use zap::ZapError;
 
 use cruz::agent::AgentAction;
 use cruz::error::CruzError;
-use cruz::pagecache::{page_hints, DigestCache};
 use cruz::proto::{CtlMsg, OpKind};
-use cruz::replog::ReplicatedStore;
-use cruz::store::{PreparedPut, StoreConfig};
+use cruz::store::PreparedPut;
 
 use des::SimTime;
 
 use crate::fault::ProtocolPoint;
 use crate::jobs::PodPlacement;
+use crate::node::{land_images, prepare_image, read_images};
 use crate::params::CkptCaptureMode;
 use crate::runtime::{CtlAddr, Deadline, Timers};
 use crate::state::World;
@@ -86,7 +85,7 @@ impl World {
                 o.pending_ckpt.remove(&node).unwrap_or_default(),
             )
         };
-        self.land_images(&job, image_epoch, images);
+        self.land(&job, image_epoch, images);
         let actions = self.nodes[node].agent.on_local_durable(self.now);
         self.run_agent_actions(node, op, actions);
         self.postprocess(node);
@@ -129,7 +128,7 @@ impl World {
                     // and dangling refs the store can never commit.
                     return;
                 }
-                self.land_images(&job, image_epoch, images);
+                self.land(&job, image_epoch, images);
             }
             OpKind::Checkpoint => {} // COW: images persist at AgentDurable
             OpKind::Restart => {
@@ -141,21 +140,16 @@ impl World {
                 }) else {
                     return;
                 };
-                for (pod_name, image) in images {
-                    let slot = &mut self.nodes[node];
-                    let pod_id = match slot.zap.restart_pod(&mut slot.kernel, &image, self.now) {
-                        Ok(id) => id,
-                        Err(e) => {
-                            self.fail_op(op, CruzError::Zap(e));
-                            return;
-                        }
-                    };
-                    if let Some(jr) = self.jobs.get_mut(&job) {
-                        if let Some(p) = jr.placement_mut(&pod_name) {
-                            p.pod_id = Some(pod_id);
-                            p.node = node;
-                        }
+                let jobs = &mut self.jobs;
+                let restarted = self.nodes[node].restart(images, self.now, |r, pod_id| {
+                    if let Some(p) = jobs.get_mut(&job).and_then(|jr| jr.placement_mut(&r.pod)) {
+                        p.pod_id = Some(pod_id);
+                        p.node = node;
                     }
+                });
+                if let Err(e) = restarted {
+                    self.fail_op(op, CruzError::Zap(e));
+                    return;
                 }
             }
         }
@@ -164,17 +158,11 @@ impl World {
         self.postprocess(node);
     }
 
-    /// Lands one node's prepared images in the job's store. The store then
-    /// holds every chunk they made novel, so the job's page-digest cache
-    /// drops the containers it kept for them.
-    fn land_images(&mut self, job: &str, epoch: u64, images: Vec<(String, PreparedPut)>) {
+    /// Lands one node's prepared images in the job's store, with the
+    /// job's page-digest cache.
+    fn land(&mut self, job: &str, epoch: u64, images: Vec<(String, PreparedPut)>) {
         let store = self.store(job);
-        for (pod_name, put) in images {
-            store.put_prepared(&pod_name, epoch, put);
-        }
-        if let Some(cache) = self.digest_caches.get_mut(job) {
-            cache.release_stored();
-        }
+        land_images(&store, self.digest_caches.get_mut(job), epoch, images);
     }
 
     pub(crate) fn run_agent_actions(&mut self, node: usize, op: u64, actions: Vec<AgentAction>) {
@@ -202,14 +190,8 @@ impl World {
     }
 
     pub(crate) fn set_comm(&mut self, node: usize, op: u64, enabled: bool) {
-        for p in self.job_pods_on_node(op, node) {
-            let f = self.nodes[node].kernel.net.filter_mut();
-            if enabled {
-                f.remove_drop_rule(p.ip);
-            } else {
-                f.add_drop_rule(p.ip);
-            }
-        }
+        let pods = self.job_pods_on_node(op, node);
+        self.nodes[node].set_comm(&pods, enabled);
     }
 
     fn begin_local_checkpoint(&mut self, node: usize, op: u64) {
@@ -224,34 +206,20 @@ impl World {
         }
         let pods = self.job_pods_on_node(op, node);
         let store = self.store(&job);
-        // The job's page-digest cache rides outside `self` for the loop; a
-        // capture failure drops it, which doubles as invalidation.
+        // The job's page-digest cache rides outside `self` for the capture;
+        // a capture failure drops it, which doubles as invalidation.
         let mut cache = self.digest_caches.remove(&job).unwrap_or_default();
-        let mut images: Vec<(String, PreparedPut)> = Vec::new();
-        for p in &pods {
-            let Some(pod_id) = p.pod_id else { continue };
-            let slot = &mut self.nodes[node];
-            let (img, dirty) =
-                match slot
-                    .zap
-                    .checkpoint_pod_dirty(&mut slot.kernel, pod_id, self.now)
-                {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.fail_op(op, CruzError::Zap(e));
-                        return;
-                    }
-                };
-            let put = prepare_image(
-                &store,
-                &self.params.store,
-                &p.name,
-                &img,
-                &dirty,
-                &mut cache,
-            );
-            images.push((p.name.clone(), put));
-        }
+        let cfg = &self.params.store;
+        let captured = self.nodes[node].capture(&pods, self.now, |name, img, dirty| {
+            prepare_image(&store, cfg, name, &img, &dirty, &mut cache)
+        });
+        let images = match captured {
+            Ok(images) => images,
+            Err(e) => {
+                self.fail_op(op, CruzError::Zap(e));
+                return;
+            }
+        };
         self.digest_caches.insert(job, cache);
         let captured_at = self.now + self.params.extract_time(raw_total(&images));
         let durable_at = self.submit_image_io(
@@ -353,26 +321,21 @@ impl World {
             Some(o) => (o.job.clone(), o.image_epoch),
             None => return,
         };
-        let store = self.store(&job);
-        let mut images = Vec::new();
-        let mut lens = Vec::new();
-        for p in self.job_pods_on_node(op, node) {
-            let Some(bytes) = store.get_image(&p.name, image_epoch) else {
-                continue;
-            };
-            // Decode now, so a bad image fails the op at the instant the
-            // read is issued; the decoded image waits for the disk.
-            let image = match PodImage::decode(&bytes) {
-                Ok(img) => img,
-                Err(e) => {
-                    self.fail_op(op, CruzError::BadImage(e));
-                    return;
-                }
-            };
-            let len = bytes.len() as u64;
-            lens.push((len, store.stored_len(&p.name, image_epoch).unwrap_or(len)));
-            images.push((p.name, image));
-        }
+        let pods: Vec<String> = self
+            .job_pods_on_node(op, node)
+            .into_iter()
+            .map(|p| p.name)
+            .collect();
+        // Read and decode now, so a missing or bad image fails the op at the
+        // instant the read is issued; the decoded images wait for the disk.
+        let images = match read_images(&self.store(&job), &pods, image_epoch) {
+            Ok(images) => images,
+            Err(e) => {
+                self.fail_op(op, e);
+                return;
+            }
+        };
+        let lens: Vec<(u64, u64)> = images.iter().map(|r| (r.raw_len, r.stored_len)).collect();
         let done_at = self.submit_image_io(
             node,
             ImageIo::Read {
@@ -388,18 +351,18 @@ impl World {
     }
 
     pub(crate) fn resume_pods(&mut self, node: usize, op: u64) {
-        for p in self.job_pods_on_node(op, node) {
-            let Some(pod_id) = p.pod_id else { continue };
-            let slot = &mut self.nodes[node];
-            let resumed = slot.zap.resume_pod(&mut slot.kernel, pod_id, self.now);
-            if let Err(e) = resumed {
-                // A pod that will not resume stays frozen; surface the
-                // cause instead of silently dropping it.
-                let now = self.now;
-                self.soft_faults.push((now, "resume-pod", e.into()));
-            }
-        }
+        let pods = self.job_pods_on_node(op, node);
+        let errs = self.nodes[node].resume(&pods, self.now);
+        self.note_resumed(node, op, errs);
+    }
+
+    /// Records a node's resume: a pod that will not resume stays frozen,
+    /// so its cause is surfaced instead of silently dropped.
+    fn note_resumed(&mut self, node: usize, op: u64, errs: Vec<ZapError>) {
         let now = self.now;
+        for e in errs {
+            self.soft_faults.push((now, "resume-pod", e.into()));
+        }
         if let Some(o) = self.ops.get_mut(&op) {
             o.resumed_at.entry(node).or_insert(now);
         }
@@ -408,15 +371,15 @@ impl World {
     fn roll_back(&mut self, node: usize, op: u64) {
         // Abort path: disarm any undrained COW snapshot, resume pods, lift
         // filters, discard this epoch's images.
-        if let Some(o) = self.ops.get_mut(&op) {
-            if let Some((_, armed)) = o.pending_arm.remove(&node) {
-                for (_, a) in armed {
-                    a.cancel();
-                }
-            }
-        }
-        self.resume_pods(node, op);
-        self.set_comm(node, op, true);
+        let armed = self
+            .ops
+            .get_mut(&op)
+            .and_then(|o| o.pending_arm.remove(&node))
+            .map(|(_, armed)| armed)
+            .unwrap_or_default();
+        let pods = self.job_pods_on_node(op, node);
+        let errs = self.nodes[node].roll_back(&pods, armed, self.now);
+        self.note_resumed(node, op, errs);
         if let Some(o) = self.ops.get(&op) {
             // Only a checkpoint abort owns its epoch. An aborted *restart*
             // is reading a committed epoch — discarding it would destroy
@@ -483,22 +446,4 @@ fn raw_total(images: &[(String, PreparedPut)]) -> u64 {
         .iter()
         .map(|(_, PreparedPut::Chunked(c))| c.raw_len())
         .sum()
-}
-
-/// Serializes a captured image and prepares its store write — the one
-/// capture path every checkpoint takes, stop-the-world and COW drain
-/// alike. Clean pages reuse the job's page-digest cache; the rest
-/// hash/encode across `cfg.threads` workers. Byte-identical at every
-/// width.
-pub(crate) fn prepare_image(
-    store: &ReplicatedStore,
-    cfg: &StoreConfig,
-    pod_name: &str,
-    img: &PodImage,
-    dirty: &[BTreeSet<u64>],
-    cache: &mut DigestCache,
-) -> PreparedPut {
-    let (bytes, cuts) = img.encode_with_page_cuts();
-    let hints = page_hints(img, &cuts, dirty);
-    PreparedPut::Chunked(store.prepare_chunked_hinted(&bytes, &hints, cfg, pod_name, cache))
 }

@@ -13,9 +13,9 @@
 //!   `10.0.0.x` socket address, a real loopback UDP port).
 //! * [`Deadline`] + [`Timers`] — the protocol registers *what should
 //!   happen when* and the runtime owns *how that firing is driven*: the
-//!   sim backend turns each deadline into a DES event (its internal step
-//!   log), the net backend keeps a deadline heap polled against the real
-//!   clock.
+//!   sim backend carries each deadline on its DES queue; the net backend
+//!   arms none, running each node step as soon as the last one finishes
+//!   and pacing its coordinator against the real clock.
 //!
 //! This is the split DMTCP's coordinator/plugin architecture proved out:
 //! swap the transport and clock, keep the protocol. `SimRuntime` remains
@@ -25,7 +25,9 @@
 use des::{SimDuration, SimTime};
 use zap::image::PodImage;
 
+use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, ProtocolMode};
+use cruz::replog::ReplicatedStore;
 
 /// An opaque monotonic instant owned by the engine, in nanoseconds from
 /// the runtime's epoch (simulation start, or net-runtime construction).
@@ -129,9 +131,10 @@ impl CtlAddr {
 /// action — service-delay completions, failure-detection deadlines, retry
 /// rounds, periodic drivers — is armed as one of these through
 /// [`Timers::arm`] rather than scheduled as a raw DES event. The sim
-/// backend maps each variant 1:1 onto its internal `Event` step log (same
-/// times, same order, so golden traces are unchanged); the net backend
-/// fires them from a deadline heap against the wall clock.
+/// backend carries each one on its event queue as `Event::Deadline` (same
+/// times, same order, so golden traces are unchanged). The net backend
+/// arms none: its nodes run each step as soon as the last one finishes
+/// and its coordinator paces itself against the wall clock.
 #[allow(missing_docs)] // variant fields are documented where non-obvious
 pub enum Deadline {
     /// A decoded control frame is handed to a node's agent after its
@@ -194,8 +197,7 @@ pub enum Deadline {
 /// A runtime promises to fire each armed [`Deadline`] exactly once, at or
 /// after `at`, in `(at, arm order)` order for deadlines it fires at the
 /// same instant. The DES backend gets both properties from its event
-/// queue (insertion-order tie-breaking); the net backend approximates
-/// "at" with wall-clock polling but keeps the same ordering contract.
+/// queue (insertion-order tie-breaking).
 pub trait Timers {
     /// The engine's current instant.
     fn now(&self) -> CtlInstant;
@@ -221,6 +223,50 @@ pub fn image_set_digest(pods: &[(String, Vec<u8>)]) -> u64 {
         h = des::digest::fold(h, bytes);
     }
     h
+}
+
+/// What a restore left in the job's store — the cross-backend comparison
+/// point of the twin-runtime property.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RestoredSet {
+    /// [`image_set_digest`] over the restored pods' image bytes.
+    pub digest: u64,
+    /// The restored pods, in digest order.
+    pub pods: Vec<String>,
+    /// Each store replica's tree digest
+    /// ([`ReplicatedStore::tree_digest`]), replica 0 first.
+    pub replica_digests: Vec<u64>,
+}
+
+/// Reads `pods`' images of `epoch` back from `store` (sorted by pod name)
+/// and digests them, together with every replica's tree. Both
+/// [`crate::simrt::SimRuntime`] and [`crate::netrt::NetRuntime`] end
+/// their cycle here.
+///
+/// # Errors
+///
+/// A pod whose image is missing from the store.
+pub(crate) fn restored_set(
+    store: &ReplicatedStore,
+    epoch: u64,
+    pods: &[String],
+) -> Result<RestoredSet, CruzError> {
+    let mut pods = pods.to_vec();
+    pods.sort();
+    let mut pairs = Vec::with_capacity(pods.len());
+    for p in pods {
+        let bytes = store.get_image(&p, epoch).ok_or(CruzError::Protocol(
+            "restored pod image missing from the store",
+        ))?;
+        pairs.push((p, bytes));
+    }
+    Ok(RestoredSet {
+        digest: image_set_digest(&pairs),
+        pods: pairs.into_iter().map(|(p, _)| p).collect(),
+        replica_digests: (0..store.replica_count())
+            .map(|r| store.tree_digest(r))
+            .collect(),
+    })
 }
 
 #[cfg(test)]

@@ -12,12 +12,11 @@
 //! two must agree on the restored-image digest for the same workload
 //! (the twin-runtime property `tests/twin_runtime.rs` checks).
 
-use cruz::error::CruzError;
 use cruz::proto::ProtocolMode;
 
 use crate::jobs::JobSpec;
 use crate::params::ClusterParams;
-use crate::runtime::image_set_digest;
+use crate::runtime::restored_set;
 use crate::state::{ClusterError, World};
 
 /// Outcome of one full cycle: run the job to completion, checkpoint it,
@@ -31,6 +30,9 @@ pub struct CycleReport {
     pub restored_digest: u64,
     /// The pods restored onto the spare, in digest order.
     pub restored_pods: Vec<String>,
+    /// Each store replica's tree digest after the restore
+    /// (`ReplicatedStore::tree_digest`), replica 0 first.
+    pub replica_digests: Vec<u64>,
     /// DES events processed over the whole cycle (sim backend only).
     pub events_processed: u64,
 }
@@ -43,23 +45,17 @@ pub struct CycleReport {
 /// scheduling of its own.
 pub struct SimRuntime {
     world: World,
-    budget: u64,
 }
+
+/// The per-phase DES event budget of a cycle.
+const EVENT_BUDGET: u64 = 50_000_000;
 
 impl SimRuntime {
     /// A cluster of `n` simulated nodes.
     pub fn new(n: usize, params: ClusterParams) -> SimRuntime {
         SimRuntime {
             world: World::new(n, params),
-            budget: 50_000_000,
         }
-    }
-
-    /// Overrides the per-phase DES event budget (default 50M events).
-    #[must_use]
-    pub fn with_event_budget(mut self, budget: u64) -> SimRuntime {
-        self.budget = budget;
-        self
     }
 
     /// Read access to the underlying world.
@@ -87,82 +83,59 @@ impl SimRuntime {
     /// [`ClusterError::Protocol`] when a phase exhausts the event budget.
     pub fn run_cycle(&mut self, spec: &JobSpec, spare: usize) -> Result<CycleReport, ClusterError> {
         let job = spec.name.clone();
-        let app_nodes: Vec<usize> = {
-            let mut v: Vec<usize> = spec.pods.iter().map(|p| p.node).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let app_nodes = spec.app_nodes();
         if app_nodes.contains(&spare) {
-            return Err(ClusterError::Protocol(CruzError::Protocol(
-                "spare node hosts a pod of the job",
-            )));
+            return Err(ClusterError::protocol("spare node hosts a pod of the job"));
         }
         self.world.launch_job(spec)?;
         if !self
             .world
-            .run_until_pred(self.budget, |w| w.job_finished(&job))
+            .run_until_pred(EVENT_BUDGET, |w| w.job_finished(&job))
         {
-            return Err(ClusterError::Protocol(CruzError::Protocol(
+            return Err(ClusterError::protocol(
                 "workload did not finish within the event budget",
-            )));
+            ));
         }
         let op = self
             .world
             .start_checkpoint(&job, ProtocolMode::Blocking, None)?;
-        if !self.world.run_until_op(op, self.budget) {
-            return Err(ClusterError::Protocol(CruzError::Protocol(
-                "checkpoint did not finish within the event budget",
-            )));
-        }
-        if self.world.op_report(op).map(|r| r.aborted).unwrap_or(true) {
-            return Err(ClusterError::Protocol(CruzError::Protocol(
-                "checkpoint aborted",
-            )));
-        }
+        self.finish(op, "checkpoint did not finish within the event budget")?;
         let epoch =
             self.world
                 .store(&job)
                 .latest_committed_epoch()
-                .ok_or(ClusterError::Protocol(CruzError::Protocol(
+                .ok_or(ClusterError::protocol(
                     "no committed epoch after checkpoint",
-                )))?;
+                ))?;
         for &n in &app_nodes {
             self.world.crash_node(n);
         }
         let placement: Vec<(String, usize)> =
             spec.pods.iter().map(|p| (p.name.clone(), spare)).collect();
-        let op2 = self
+        let op = self
             .world
             .start_restart(&job, epoch, &placement, ProtocolMode::Blocking)?;
-        if !self.world.run_until_op(op2, self.budget) {
-            return Err(ClusterError::Protocol(CruzError::Protocol(
-                "restore did not finish within the event budget",
-            )));
-        }
-        if self.world.op_report(op2).map(|r| r.aborted).unwrap_or(true) {
-            return Err(ClusterError::Protocol(CruzError::Protocol(
-                "restore aborted",
-            )));
-        }
-        let store = self.world.store(&job);
-        let mut pods: Vec<String> = spec.pods.iter().map(|p| p.name.clone()).collect();
-        pods.sort();
-        let mut pairs: Vec<(String, Vec<u8>)> = Vec::with_capacity(pods.len());
-        for p in pods {
-            let bytes =
-                store
-                    .get_image(&p, epoch)
-                    .ok_or(ClusterError::Protocol(CruzError::Protocol(
-                        "restored pod image missing from the store",
-                    )))?;
-            pairs.push((p, bytes));
-        }
+        self.finish(op, "restore did not finish within the event budget")?;
+        let pods: Vec<String> = spec.pods.iter().map(|p| p.name.clone()).collect();
+        let restored = restored_set(&self.world.store(&job), epoch, &pods)?;
         Ok(CycleReport {
             epoch,
-            restored_digest: image_set_digest(&pairs),
-            restored_pods: pairs.into_iter().map(|(p, _)| p).collect(),
+            restored_digest: restored.digest,
+            restored_pods: restored.pods,
+            replica_digests: restored.replica_digests,
             events_processed: self.world.events_processed(),
         })
+    }
+
+    /// Runs operation `op` to its end: exhausting the event budget fails
+    /// with `stalled`, an abort fails too.
+    fn finish(&mut self, op: u64, stalled: &'static str) -> Result<(), ClusterError> {
+        if !self.world.run_until_op(op, EVENT_BUDGET) {
+            return Err(ClusterError::protocol(stalled));
+        }
+        if self.world.op_report(op).is_none_or(|r| r.aborted) {
+            return Err(ClusterError::protocol("operation aborted"));
+        }
+        Ok(())
     }
 }

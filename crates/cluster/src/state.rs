@@ -67,6 +67,13 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+impl ClusterError {
+    /// A control-plane failure described by `what`.
+    pub(crate) fn protocol(what: &'static str) -> ClusterError {
+        ClusterError::Protocol(CruzError::Protocol(what))
+    }
+}
+
 impl From<ZapError> for ClusterError {
     fn from(e: ZapError) -> Self {
         ClusterError::Zap(e)

@@ -11,28 +11,27 @@
 use std::collections::BTreeMap;
 
 use des::{digest, EventQueue, SimDuration, SimRng, SimTime};
-use simnet::addr::{IpAddr, MacAddr};
+use simnet::addr::IpAddr;
 use simnet::fault::FrameFate;
 use simnet::link::LinkState;
 use simnet::switch::{PortId, Switch};
-use simnet::{EthFrame, NetStack};
-use simos::disk::Disk;
+use simnet::EthFrame;
 use simos::fs::NetFs;
 use simos::kernel::Kernel;
 use zap::Zap;
 
-use cruz::agent::Agent;
 use cruz::proto::AGENT_PORT;
 use cruz::replog::{clear_replica_faults, install_replica_faults, ReplicatedStore, ScrubReport};
 
 use crate::events::Event;
 use crate::fault::{FaultPlan, ProtocolPoint};
 use crate::jobs::JobRuntime;
+use crate::node::open_store;
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
 use crate::runtime::{CtlInstant, Deadline, Timers};
 use crate::state::FaultState;
-use crate::transport::{CtlSock, CtlTransport, SimnetCtl};
+use crate::transport::{CtlTransport, SimnetCtl};
 
 pub use crate::node::Node;
 pub use crate::ops::{CkptOptions, OpReport};
@@ -47,26 +46,7 @@ impl World {
         let mut rng = SimRng::from_seed(params.seed);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
-            let net = NetStack::new(
-                MacAddr::from_index(i as u32 + 1),
-                Self::node_ip(i),
-                params.subnet_prefix,
-                params.tcp.clone(),
-            );
-            let mut kernel = Kernel::new(net, fs.clone(), Disk::new(params.disk), params.kernel);
-            let zap = Zap::new();
-            zap.install(&mut kernel);
-            nodes.push(Node {
-                kernel,
-                zap,
-                agent: Agent::new(),
-                agent_sock: CtlSock::UNBOUND,
-                agent_coord_addr: None,
-                alive: true,
-                run_scheduled: false,
-                timer_scheduled: None,
-                ctl_cpu_free: SimTime::ZERO,
-            });
+            nodes.push(Node::new(i, fs.clone(), &params));
             let sock = SimnetCtl::new(&mut nodes)
                 .bind(i, AGENT_PORT)
                 .expect("agent port free on a fresh stack"); // cruz-lint: allow(silent-unwrap)
@@ -149,13 +129,13 @@ impl World {
     }
 
     /// The checkpoint store for a job: `params.store.replicas` replica
-    /// stores behind the one-store API (1 = the plain unreplicated store,
-    /// byte-identical to earlier versions), inheriting the cluster's
-    /// worker count for the capture/restore hot paths (a wall-clock knob
-    /// only — produced bytes are identical at every width).
+    /// stores on the shared filesystem behind the one-store API (1 = the
+    /// plain unreplicated store), with the cluster's worker count for the
+    /// capture/restore hot paths (a wall-clock knob only — produced bytes
+    /// are identical at every width). The net runtime opens its store the
+    /// same way.
     pub fn store(&self, job: &str) -> ReplicatedStore {
-        ReplicatedStore::new(self.fs.clone(), job, self.params.store.replicas.max(1))
-            .with_threads(self.params.store.threads)
+        open_store(self.fs.clone(), job, &self.params.store)
     }
 
     /// The runtime state of a job.
@@ -336,38 +316,45 @@ impl World {
             Event::NodeTick(n) => self.on_node_tick(n),
             Event::FrameAtSwitch { from_port, frame } => self.on_frame_at_switch(from_port, frame),
             Event::FrameAtNode { port, frame } => self.on_frame_at_node(port, frame),
-            Event::AgentCtl {
+            Event::FrameAtNodeInjected { port, frame } => self.on_frame_injected(port, frame),
+            Event::Deadline(d) => self.fire(d),
+        }
+    }
+
+    /// Fires one protocol deadline at its layer.
+    fn fire(&mut self, d: Deadline) {
+        match d {
+            Deadline::AgentCtl {
                 node,
                 msg,
                 reply_to,
             } => self.on_agent_ctl(node, msg, reply_to),
-            Event::AgentLocalDone { node, op } => self.on_agent_local_done(node, op),
-            Event::AgentDurable { node, op } => self.on_agent_durable(node, op),
-            Event::CkptDrain { node, op } => self.on_ckpt_drain(node, op),
-            Event::CoordCtl { op, from, msg } => self.on_coord_ctl(op, from, msg),
-            Event::CoordSend { op, to, msg } => self.on_coord_send(op, to, msg),
-            Event::CoordTimeout { op } => self.on_coord_timeout(op),
-            Event::CoordRetry { op, attempt } => self.on_coord_retry(op, attempt),
-            Event::Heartbeat { job } => self.on_heartbeat(&job),
-            Event::HeartbeatTimeout {
+            Deadline::AgentLocalDone { node, op } => self.on_agent_local_done(node, op),
+            Deadline::AgentDurable { node, op } => self.on_agent_durable(node, op),
+            Deadline::CkptDrain { node, op } => self.on_ckpt_drain(node, op),
+            Deadline::CoordCtl { op, from, msg } => self.on_coord_ctl(op, from, msg),
+            Deadline::CoordSend { op, to, msg } => self.on_coord_send(op, to, msg),
+            Deadline::CoordTimeout { op } => self.on_coord_timeout(op),
+            Deadline::CoordRetry { op, attempt } => self.on_coord_retry(op, attempt),
+            Deadline::Heartbeat { job } => self.on_heartbeat(&job),
+            Deadline::HeartbeatTimeout {
                 job,
                 sent_at,
                 pinged,
-            } => self.on_heartbeat_timeout(&job, sent_at, pinged),
-            Event::FrameAtNodeInjected { port, frame } => self.on_frame_injected(port, frame),
-            Event::PeriodicCkpt {
+            } => self.on_heartbeat_timeout(&job, sent_at.into(), pinged),
+            Deadline::PeriodicCkpt {
                 job,
                 interval,
                 mode,
                 cow,
-            } => self.on_periodic_ckpt(&job, interval, mode, cow),
-            Event::MigrateFinish {
+            } => self.on_periodic_ckpt(&job, interval.into(), mode, cow),
+            Deadline::MigrateFinish {
                 job,
                 pod,
                 dst,
                 image,
             } => self.on_migrate_finish(&job, &pod, dst, &image),
-            Event::StoreScrub { job, interval } => self.on_store_scrub(&job, interval),
+            Deadline::StoreScrub { job, interval } => self.on_store_scrub(&job, interval.into()),
         }
     }
 
@@ -508,76 +495,16 @@ impl World {
     }
 }
 
-/// The sim backend's 1:1 mapping from the protocol's portable deadline
-/// vocabulary onto its internal [`Event`] step log. Same variant, same
-/// fields, lossless time conversion — which is how the `Timers` refactor
-/// leaves every pinned golden-trace digest untouched.
-fn deadline_event(d: Deadline) -> Event {
-    match d {
-        Deadline::AgentCtl {
-            node,
-            msg,
-            reply_to,
-        } => Event::AgentCtl {
-            node,
-            msg,
-            reply_to,
-        },
-        Deadline::AgentLocalDone { node, op } => Event::AgentLocalDone { node, op },
-        Deadline::AgentDurable { node, op } => Event::AgentDurable { node, op },
-        Deadline::CkptDrain { node, op } => Event::CkptDrain { node, op },
-        Deadline::CoordCtl { op, from, msg } => Event::CoordCtl { op, from, msg },
-        Deadline::CoordSend { op, to, msg } => Event::CoordSend { op, to, msg },
-        Deadline::CoordTimeout { op } => Event::CoordTimeout { op },
-        Deadline::CoordRetry { op, attempt } => Event::CoordRetry { op, attempt },
-        Deadline::Heartbeat { job } => Event::Heartbeat { job },
-        Deadline::HeartbeatTimeout {
-            job,
-            sent_at,
-            pinged,
-        } => Event::HeartbeatTimeout {
-            job,
-            sent_at: sent_at.into(),
-            pinged,
-        },
-        Deadline::PeriodicCkpt {
-            job,
-            interval,
-            mode,
-            cow,
-        } => Event::PeriodicCkpt {
-            job,
-            interval: interval.into(),
-            mode,
-            cow,
-        },
-        Deadline::MigrateFinish {
-            job,
-            pod,
-            dst,
-            image,
-        } => Event::MigrateFinish {
-            job,
-            pod,
-            dst,
-            image,
-        },
-        Deadline::StoreScrub { job, interval } => Event::StoreScrub {
-            job,
-            interval: interval.into(),
-        },
-    }
-}
-
 /// The DES backend of the runtime seam: `now` is virtual time and `arm`
-/// appends to the deterministic event queue (insertion order breaks time
-/// ties, satisfying the [`Timers`] ordering contract exactly).
+/// appends the deadline, as an event, to the deterministic event queue
+/// (insertion order breaks time ties, satisfying the [`Timers`] ordering
+/// contract exactly).
 impl Timers for World {
     fn now(&self) -> CtlInstant {
         self.now.into()
     }
 
     fn arm(&mut self, at: CtlInstant, d: Deadline) {
-        self.queue.push(at.into(), deadline_event(d));
+        self.queue.push(at.into(), Event::Deadline(d));
     }
 }

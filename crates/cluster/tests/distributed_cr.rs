@@ -55,6 +55,40 @@ fn cross_node_pingpong_completes() {
 }
 
 #[test]
+fn restart_fails_when_a_pod_image_is_missing() {
+    let mut w = World::new(5, ClusterParams::default());
+    let (spec, _) = pingpong_job(600, 0, 1, 4);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(8));
+    let ck = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(ck, 5_000_000));
+    // The committed epoch loses the client's image.
+    let manifest = w.store("pp").replica(0).manifest_path("client", ck);
+    assert!(w.fs.remove(&manifest), "client manifest was stored");
+    w.crash_node(0);
+    w.crash_node(1);
+    let rs = w
+        .start_restart(
+            "pp",
+            ck,
+            &[("server".into(), 2), ("client".into(), 3)],
+            ProtocolMode::Blocking,
+        )
+        .unwrap();
+    assert!(w.run_until_op(rs, 5_000_000), "restart settles");
+    // Restarting without the image would silently drop the pod; the
+    // restart must fail instead.
+    let rep = w.op_report(rs).unwrap();
+    assert!(rep.aborted && !rep.complete, "restart must abort");
+    assert!(
+        w.op_error(rs).is_some(),
+        "the missing image is the recorded cause"
+    );
+}
+
+#[test]
 fn checkpoint_mid_run_is_transparent() {
     let mut w = World::new(3, ClusterParams::default());
     let (spec, _) = pingpong_job(400, 0, 1, 2);

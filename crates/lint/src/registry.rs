@@ -277,10 +277,11 @@ fn extract_ctlmsg(sf: &SourceFile, out: &mut Vec<WireEntry>) {
     }
 }
 
-/// Extracts `Event` fingerprint tags: each non-test `Event::Ident` token
-/// pairs with the first `mix(<int>` at or after it, before the next
-/// candidate and within 8 lines. Unpaired candidates (uses of `Event`
-/// outside the fingerprint match) are dropped.
+/// Extracts `Event` fingerprint tags: each non-test `Event::Ident` or
+/// `Deadline::Ident` token (the engine's deadlines are events too) pairs
+/// with the first `mix(<int>` at or after it, before the next candidate
+/// and within 8 lines. Unpaired candidates (uses outside the fingerprint
+/// match) are dropped.
 fn extract_events(sf: &SourceFile, out: &mut Vec<WireEntry>) {
     let lines: Vec<&str> = sf.clean.lines().collect();
     let mut cands: Vec<(usize, String)> = Vec::new();
@@ -288,7 +289,10 @@ fn extract_events(sf: &SourceFile, out: &mut Vec<WireEntry>) {
         if sf.is_test_line(i + 1) {
             continue;
         }
-        let Some(at) = l.find("Event::") else {
+        let Some((at, prefix)) = ["Event::", "Deadline::"]
+            .iter()
+            .find_map(|p| l.find(p).map(|at| (at, *p)))
+        else {
             continue;
         };
         if at > 0 {
@@ -297,7 +301,7 @@ fn extract_events(sf: &SourceFile, out: &mut Vec<WireEntry>) {
                 continue;
             }
         }
-        let rest = &l[at + "Event::".len()..];
+        let rest = &l[at + prefix.len()..];
         let end = rest
             .char_indices()
             .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_'))
@@ -659,6 +663,9 @@ impl Event {
                 h
             }
             Event::Quiet { .. } => 0,
+            Event::Deadline(d) => match d {
+                Deadline::CoordTimeout { op } => mix(10, *op, 0),
+            },
         }
     }
 }
@@ -671,8 +678,9 @@ impl Event {
             vec![
                 ("NodeRun".to_string(), "1".to_string()),
                 ("HeartbeatTimeout".to_string(), "16".to_string()),
+                ("CoordTimeout".to_string(), "10".to_string()),
             ],
-            "unpaired Quiet candidate dropped"
+            "unpaired Quiet and Deadline candidates dropped"
         );
     }
 
